@@ -8,13 +8,19 @@
 //! paper's provider filtered ~700 log entries in 1–2 s on 2001 hardware;
 //! the `provider_filter` bench shows this implementation is orders of
 //! magnitude inside that.
+//!
+//! The digest is standing state: a refresh folds in the records appended
+//! since the last one rather than reading the log again, so
+//! record-to-fresh-prediction costs O(new records).
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 use wanpred_logfmt::{Operation, TransferLog, TransferRecord};
-use wanpred_predict::prelude::*;
+use wanpred_predict::prelude::{EvalOptions, PredictionOutcome, SizeClass};
+use wanpred_predict::stats;
 
 use crate::gris::{InfoProvider, ProviderError};
 use crate::ldif::{Dn, Entry};
@@ -73,59 +79,49 @@ pub enum LogSource {
 }
 
 /// The provider.
+///
+/// It keeps a standing digest of its log, so a refresh
+/// ([`InfoProvider::provide`]) folds in only the records appended since
+/// the previous one and re-renders the entries.
 pub struct GridFtpPerfProvider {
     cfg: ProviderConfig,
     source: LogSource,
+    digest: LogDigest,
 }
 
 impl GridFtpPerfProvider {
-    /// Build over a log snapshot.
-    pub fn from_snapshot(cfg: ProviderConfig, log: TransferLog) -> Self {
+    fn new(cfg: ProviderConfig, source: LogSource) -> Self {
         GridFtpPerfProvider {
             cfg,
-            source: LogSource::Snapshot(log),
+            source,
+            digest: LogDigest::default(),
         }
+    }
+
+    /// Build over a log snapshot.
+    pub fn from_snapshot(cfg: ProviderConfig, log: TransferLog) -> Self {
+        Self::new(cfg, LogSource::Snapshot(log))
     }
 
     /// Build over a live shared log.
     pub fn from_shared(cfg: ProviderConfig, log: Arc<RwLock<TransferLog>>) -> Self {
-        GridFtpPerfProvider {
-            cfg,
-            source: LogSource::Shared(log),
-        }
+        Self::new(cfg, LogSource::Shared(log))
     }
 
     /// Build over a ULM file re-read on every refresh (fallible).
     pub fn from_file(cfg: ProviderConfig, path: impl Into<PathBuf>) -> Self {
-        GridFtpPerfProvider {
-            cfg,
-            source: LogSource::File(path.into()),
-        }
+        Self::new(cfg, LogSource::File(path.into()))
     }
 
-    fn with_log<R>(&self, f: impl FnOnce(&TransferLog) -> R) -> Result<R, ProviderError> {
-        match &self.source {
-            LogSource::Snapshot(l) => Ok(f(l)),
-            LogSource::Shared(l) => Ok(f(&l.read())),
-            LogSource::File(p) => {
-                let (log, _) = TransferLog::load_ulm_salvaged(p)
-                    .map_err(|e| ProviderError::unavailable(p.display().to_string(), e))?;
-                Ok(f(&log))
-            }
-        }
-    }
-
-    /// Build the entries for the current log contents, surfacing log
-    /// source failures (only a [`LogSource::File`] can fail).
-    pub fn try_build_entries(&self, now_unix: u64) -> Result<Vec<Entry>, ProviderError> {
-        self.with_log(|log| {
-            let mut sources: Vec<&str> = log.records().iter().map(|r| r.source.as_str()).collect();
-            sources.sort_unstable();
-            sources.dedup();
-            sources
-                .iter()
-                .map(|src| self.entry_for_source(log, src, now_unix))
-                .collect()
+    /// Build the entries for the current log contents from scratch,
+    /// surfacing log source failures (only a [`LogSource::File`] can
+    /// fail). `_now_unix` does not enter into them: everything published
+    /// is a count-window statistic of the log itself.
+    pub fn try_build_entries(&self, _now_unix: u64) -> Result<Vec<Entry>, ProviderError> {
+        self.source.with_log(|log| {
+            let mut digest = LogDigest::default();
+            digest.catch_up(log);
+            digest.render(&self.cfg)
         })
     }
 
@@ -139,8 +135,301 @@ impl GridFtpPerfProvider {
         self.try_build_entries(now_unix)
             .expect("log source unavailable")
     }
+}
 
-    fn entry_for_source(&self, log: &TransferLog, source: &str, now_unix: u64) -> Entry {
+impl LogSource {
+    fn with_log<R>(&self, f: impl FnOnce(&TransferLog) -> R) -> Result<R, ProviderError> {
+        match self {
+            LogSource::Snapshot(l) => Ok(f(l)),
+            LogSource::Shared(l) => Ok(f(&l.read())),
+            LogSource::File(p) => {
+                let (log, _) = TransferLog::load_ulm_salvaged(p)
+                    .map_err(|e| ProviderError::unavailable(p.display().to_string(), e))?;
+                Ok(f(&log))
+            }
+        }
+    }
+}
+
+impl InfoProvider for GridFtpPerfProvider {
+    fn name(&self) -> &str {
+        "gridftp-perf"
+    }
+
+    fn provide(&mut self, _now_unix: u64) -> Result<Vec<Entry>, ProviderError> {
+        let GridFtpPerfProvider {
+            cfg,
+            source,
+            digest,
+        } = self;
+        source.with_log(|log| {
+            digest.catch_up(log);
+            digest.render(cfg)
+        })
+    }
+
+    fn ttl_secs(&self) -> u64 {
+        self.cfg.ttl_secs
+    }
+}
+
+/// How many most-recent reads the published predictor (the paper's
+/// `AVG25`, overall and per size class) averages.
+const WINDOW: usize = 25;
+
+/// How many most-recent read bandwidths an entry advertises (§5.1).
+const RECENT: usize = 5;
+
+/// The last [`WINDOW`] values of a series, oldest first.
+#[derive(Default)]
+struct LastValues(Vec<f64>);
+
+impl LastValues {
+    fn push(&mut self, x: f64) {
+        if self.0.len() == WINDOW {
+            self.0.remove(0);
+        }
+        self.0.push(x);
+    }
+
+    /// What `AVG25` predicts from the series so far.
+    fn mean(&self) -> Option<f64> {
+        stats::mean(&self.0)
+    }
+}
+
+/// Bandwidth summary of one operation's transfers.
+struct OpStats {
+    count: usize,
+    min: f64,
+    max: f64,
+    sum: f64,
+}
+
+impl Default for OpStats {
+    fn default() -> Self {
+        OpStats {
+            count: 0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            sum: 0.0,
+        }
+    }
+}
+
+impl OpStats {
+    fn fold(&mut self, bw: f64) {
+        self.count += 1;
+        self.min = self.min.min(bw);
+        self.max = self.max.max(bw);
+        self.sum += bw;
+    }
+}
+
+/// Reads of one size class.
+#[derive(Default)]
+struct ClassStats {
+    count: usize,
+    sum: f64,
+    last: LastValues,
+}
+
+/// Everything an endpoint's entry is rendered from. Each sum runs left
+/// to right over the log, the order a pass over the endpoint's records
+/// would add them in, so the entry is the same whether the records came
+/// in one fold or many.
+#[derive(Default)]
+struct EndpointDigest {
+    transfers: usize,
+    newest_end_unix: u64,
+    rd: OpStats,
+    wr: OpStats,
+    last_reads: LastValues,
+    /// Per size class, indexed by [`SizeClass::index`].
+    classes: [ClassStats; 4],
+    /// Running error of the published class predictor: each read past the
+    /// training set is scored against what its class's `AVG25` said just
+    /// before it arrived, the replay of §6.2 done as the reads come in.
+    err_sum: f64,
+    err_count: usize,
+}
+
+impl EndpointDigest {
+    fn fold(&mut self, r: &TransferRecord) {
+        self.transfers += 1;
+        self.newest_end_unix = self.newest_end_unix.max(r.end_unix);
+        let bw = r.bandwidth_kbs();
+        match r.operation {
+            Operation::Write => self.wr.fold(bw),
+            Operation::Read => {
+                let class = SizeClass::of_bytes(r.file_size);
+                let in_class = &mut self.classes[class.index()];
+                if self.rd.count >= EvalOptions::default().training {
+                    let scored = in_class.last.mean().and_then(|predicted| {
+                        PredictionOutcome {
+                            at_unix: r.start_unix,
+                            measured: bw,
+                            predicted,
+                            class,
+                        }
+                        .abs_pct_error()
+                    });
+                    if let Some(err) = scored {
+                        self.err_sum += err;
+                        self.err_count += 1;
+                    }
+                }
+                in_class.count += 1;
+                in_class.sum += bw;
+                in_class.last.push(bw);
+                self.last_reads.push(bw);
+                self.rd.fold(bw);
+            }
+        }
+    }
+
+    fn render(&self, cfg: &ProviderConfig, source: &str) -> Entry {
+        let kbs = |x: f64| (x.round() as i64).to_string();
+        let dn = Dn::parse(&format!(
+            "cn={source}, hostname={}, {}",
+            cfg.hostname, cfg.suffix
+        ))
+        .expect("non-empty dn");
+        let mut e = Entry::new(dn);
+        e.add("objectclass", "GridFTPPerfInfo");
+        e.add("cn", source);
+        e.add("hostname", &cfg.hostname);
+        e.add("gridftpurl", &cfg.url);
+        e.add("numtransfers", self.transfers.to_string());
+        e.add("lasttransfertime", self.newest_end_unix.to_string());
+
+        for (op, tag) in [(&self.rd, "rd"), (&self.wr, "wr")] {
+            e.add(&format!("num{tag}transfers"), op.count.to_string());
+            if op.count == 0 {
+                continue;
+            }
+            e.add(&format!("min{tag}bandwidth"), kbs(op.min));
+            e.add(&format!("max{tag}bandwidth"), kbs(op.max));
+            e.add(&format!("avg{tag}bandwidth"), kbs(op.sum / op.count as f64));
+        }
+
+        // §5.1: the provider advertises "a set of recent measurements as
+        // well as some summary statistic data" — the last five read
+        // bandwidths, multi-valued, newest last.
+        let reads = &self.last_reads.0;
+        for &bw in &reads[reads.len().saturating_sub(RECENT)..] {
+            e.add("recentrdbandwidth", kbs(bw));
+        }
+        // Per-size-class read averages and predictions (Figure 6's
+        // avgrdbandwidthtenmbrange etc.), under the range names of the
+        // schema; the prediction is the classified AVG25.
+        let ranges = [
+            "tenmbrange",
+            "hundredmbrange",
+            "fivehundredmbrange",
+            "onegbrange",
+        ];
+        for (in_class, range) in self.classes.iter().zip(ranges) {
+            if in_class.count == 0 {
+                continue;
+            }
+            e.add(
+                &format!("avgrdbandwidth{range}"),
+                kbs(in_class.sum / in_class.count as f64),
+            );
+            if let Some(p) = in_class.last.mean() {
+                e.add(&format!("predictrdbandwidth{range}"), kbs(p));
+            }
+        }
+        // Overall prediction: unclassified AVG25.
+        if let Some(p) = self.last_reads.mean() {
+            e.add("predictrdbandwidth", kbs(p));
+        }
+        // NWS-style accuracy estimate next to the forecast: the mean
+        // absolute percentage error of the published (classified AVG25)
+        // predictor over this endpoint's history.
+        if self.err_count > 0 {
+            e.add("predicterrorpct", kbs(self.err_sum / self.err_count as f64));
+        }
+        e
+    }
+}
+
+/// Per-endpoint digests of one log, and how far into it they reach.
+#[derive(Default)]
+struct LogDigest {
+    /// The [`TransferLog::epoch`] the digests were folded from, and how
+    /// many of that run's records are in them.
+    epoch: Option<u64>,
+    cursor: usize,
+    endpoints: BTreeMap<String, EndpointDigest>,
+}
+
+impl LogDigest {
+    /// Fold in what the log holds beyond the cursor. A log in another
+    /// epoch — trimmed, flushed, replaced, or re-read from its file — may
+    /// have lost records the digests counted, so the fold starts over
+    /// from its first record.
+    fn catch_up(&mut self, log: &TransferLog) {
+        if self.epoch != Some(log.epoch()) {
+            *self = LogDigest {
+                epoch: Some(log.epoch()),
+                ..LogDigest::default()
+            };
+        }
+        for r in &log.records()[self.cursor..] {
+            match self.endpoints.get_mut(&r.source) {
+                Some(endpoint) => endpoint.fold(r),
+                None => self.endpoints.entry(r.source.clone()).or_default().fold(r),
+            }
+        }
+        self.cursor = log.len();
+    }
+
+    /// One entry per remote endpoint, in endpoint-name order.
+    fn render(&self, cfg: &ProviderConfig) -> Vec<Entry> {
+        self.endpoints
+            .iter()
+            .map(|(source, endpoint)| endpoint.render(cfg, source))
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ldif::to_ldif_document;
+    use crate::schema::Schema;
+    use proptest::prelude::*;
+    use wanpred_logfmt::TransferRecordBuilder;
+    use wanpred_predict::prelude::*;
+
+    fn record(source: &str, size: u64, secs: f64, start: u64, op: Operation) -> TransferRecord {
+        TransferRecordBuilder::new()
+            .source(source)
+            .host("dpsslx04.lbl.gov")
+            .file_name("/home/ftp/f")
+            .file_size(size)
+            .volume("/home/ftp")
+            .start_unix(start)
+            .end_unix(start + secs as u64)
+            .total_time_s(secs)
+            .streams(8)
+            .tcp_buffer(1_000_000)
+            .operation(op)
+            .build()
+            .unwrap()
+    }
+
+    /// The slice-based entry builder the provider shipped before the
+    /// standing digest, kept as the oracle: per endpoint it filters the
+    /// whole log and replays the read history from the start.
+    fn entry_for_source(
+        cfg: &ProviderConfig,
+        log: &TransferLog,
+        source: &str,
+        now_unix: u64,
+    ) -> Entry {
         let records: Vec<&TransferRecord> = log
             .records()
             .iter()
@@ -149,14 +438,14 @@ impl GridFtpPerfProvider {
 
         let dn = Dn::parse(&format!(
             "cn={source}, hostname={}, {}",
-            self.cfg.hostname, self.cfg.suffix
+            cfg.hostname, cfg.suffix
         ))
         .expect("non-empty dn");
         let mut e = Entry::new(dn);
         e.add("objectclass", "GridFTPPerfInfo");
         e.add("cn", source);
-        e.add("hostname", &self.cfg.hostname);
-        e.add("gridftpurl", &self.cfg.url);
+        e.add("hostname", &cfg.hostname);
+        e.add("gridftpurl", &cfg.url);
         e.add("numtransfers", records.len().to_string());
 
         for (op, tag) in [(Operation::Read, "rd"), (Operation::Write, "wr")] {
@@ -242,56 +531,31 @@ impl GridFtpPerfProvider {
         }
         // NWS-style accuracy estimate next to the forecast: the running
         // mean absolute percentage error of the published (classified
-        // AVG25) predictor replayed over this endpoint's history.
-        let reports = Evaluation::replay(
-            &obs,
-            std::slice::from_ref(&predictor),
-            EvalEngine::Naive,
-            EvalOptions::default(),
-            &wanpred_obs::ObsSink::disabled(),
-        );
-        if let Some(m) = reports.first().and_then(|r| r.mape()) {
+        // AVG25) predictor replayed over this endpoint's history (the
+        // reference replay of §6.2: every read past the training set is
+        // predicted from the full slice before it).
+        let pairs: Vec<(f64, f64)> = (EvalOptions::default().training..obs.len())
+            .filter_map(|i| {
+                let target = &obs[i];
+                predictor
+                    .predict(&obs[..i], target.at_unix, target.file_size)
+                    .map(|p| (target.bandwidth_kbs, p))
+            })
+            .collect();
+        if let Some(m) = stats::mape(&pairs) {
             e.add("predicterrorpct", format!("{}", m.round() as i64));
         }
         e
     }
-}
 
-impl InfoProvider for GridFtpPerfProvider {
-    fn name(&self) -> &str {
-        "gridftp-perf"
-    }
-
-    fn provide(&mut self, now_unix: u64) -> Result<Vec<Entry>, ProviderError> {
-        self.try_build_entries(now_unix)
-    }
-
-    fn ttl_secs(&self) -> u64 {
-        self.cfg.ttl_secs
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::schema::Schema;
-    use wanpred_logfmt::TransferRecordBuilder;
-
-    fn record(source: &str, size: u64, secs: f64, start: u64, op: Operation) -> TransferRecord {
-        TransferRecordBuilder::new()
-            .source(source)
-            .host("dpsslx04.lbl.gov")
-            .file_name("/home/ftp/f")
-            .file_size(size)
-            .volume("/home/ftp")
-            .start_unix(start)
-            .end_unix(start + secs as u64)
-            .total_time_s(secs)
-            .streams(8)
-            .tcp_buffer(1_000_000)
-            .operation(op)
-            .build()
-            .unwrap()
+    fn oracle_entries(cfg: &ProviderConfig, log: &TransferLog, now_unix: u64) -> Vec<Entry> {
+        let mut sources: Vec<&str> = log.records().iter().map(|r| r.source.as_str()).collect();
+        sources.sort_unstable();
+        sources.dedup();
+        sources
+            .iter()
+            .map(|src| entry_for_source(cfg, log, src, now_unix))
+            .collect()
     }
 
     fn sample_log() -> TransferLog {
@@ -402,17 +666,47 @@ mod tests {
     #[test]
     fn shared_log_sees_appends() {
         let shared = Arc::new(RwLock::new(TransferLog::new()));
-        let p = GridFtpPerfProvider::from_shared(
+        let mut p = GridFtpPerfProvider::from_shared(
             ProviderConfig::new("h.x.y", "1.2.3.4"),
             shared.clone(),
         );
         assert!(p.build_entries(0).is_empty());
+        assert!(p.provide(0).unwrap().is_empty());
         shared
             .write()
             .append(record("9.9.9.9", 10_240_000, 4.0, 1, Operation::Read));
         let entries = p.build_entries(10);
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].get("cn"), Some("9.9.9.9"));
+        assert_eq!(p.provide(10).unwrap(), entries);
+
+        // Appends reach the standing state one record at a time...
+        for i in 0..3 {
+            shared
+                .write()
+                .append(record("9.9.9.9", 10_240_000, 2.0, 10 + i, Operation::Read));
+            let entries = p.provide(20).unwrap();
+            assert_eq!(entries[0].get("numtransfers"), Some(&*(i + 2).to_string()));
+            assert_eq!(entries, p.build_entries(20));
+        }
+        // ...a trim takes the dropped records back out of every count...
+        shared.write().truncate_front(2);
+        let entries = p.provide(30).unwrap();
+        assert_eq!(entries[0].get("numtransfers"), Some("2"));
+        assert_eq!(entries[0].get("minrdbandwidth"), Some("5120"));
+        // ...and a replaced log is read for what it holds, even at the
+        // length the old one had.
+        *shared.write() = [
+            record("8.8.8.8", 10_240_000, 4.0, 1, Operation::Write),
+            record("8.8.8.8", 10_240_000, 4.0, 2, Operation::Write),
+        ]
+        .into_iter()
+        .collect();
+        let entries = p.provide(40).unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].get("cn"), Some("8.8.8.8"));
+        assert_eq!(entries[0].get("numwrtransfers"), Some("2"));
+        assert_eq!(entries, p.build_entries(40));
     }
 
     #[test]
@@ -477,5 +771,124 @@ mod tests {
             TransferLog::new(),
         );
         assert!(p.build_entries(0).is_empty());
+    }
+
+    /// One step of a live log's life.
+    #[derive(Debug, Clone)]
+    enum LogOp {
+        Append(usize),
+        TruncateFront(usize),
+        Flush,
+        /// Swap in a separately built log of this length.
+        Replace(usize),
+    }
+
+    fn arb_op() -> impl Strategy<Value = LogOp> {
+        prop_oneof![
+            (0usize..40).prop_map(LogOp::Append),
+            (0usize..40).prop_map(LogOp::Append),
+            (0usize..60).prop_map(LogOp::TruncateFront),
+            Just(LogOp::Flush),
+            (0usize..60).prop_map(LogOp::Replace),
+        ]
+    }
+
+    /// A small pool the writer cycles through, like a server whose
+    /// clients repeat themselves: three endpoints (one of which may well
+    /// only ever write), every size class, and dead (zero-bandwidth)
+    /// transfers. Cycling makes many positions of the log hold equal
+    /// records, which is what a cursor that compared records would trip
+    /// over.
+    fn arb_pool() -> impl Strategy<Value = Vec<TransferRecord>> {
+        let sizes_mb = [0u64, 2, 25, 100, 400, 1000];
+        prop::collection::vec((0usize..3, 0usize..6, 0u8..8, 1u32..400, 0u8..4), 1..7).prop_map(
+            move |raw| {
+                raw.into_iter()
+                    .enumerate()
+                    .map(|(i, (src, size, dead, decisecs, op))| {
+                        let secs = if dead == 0 {
+                            0.0
+                        } else {
+                            decisecs as f64 / 10.0
+                        };
+                        let mut r = record(
+                            ["10.0.0.1", "10.0.0.2", "10.0.0.3"][src],
+                            sizes_mb[size] * PAPER_MB,
+                            secs,
+                            1_000 + i as u64 * 7,
+                            if op == 0 {
+                                Operation::Write
+                            } else {
+                                Operation::Read
+                            },
+                        );
+                        r.total_time_s = secs;
+                        r
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Whatever happens to the log between refreshes, the standing
+        /// provider publishes byte for byte what the oracle makes of the
+        /// log as it stands, and a file-backed provider over the same
+        /// records agrees with the oracle on what it re-read.
+        #[test]
+        fn standing_provider_matches_oracle_after_every_step(
+            pool in arb_pool(),
+            ops in prop::collection::vec(arb_op(), 1..14),
+        ) {
+            let cfg = ProviderConfig::new("h.x.y", "1.2.3.4");
+            let mut next = 0usize;
+            let mut cycle = |n: usize| -> Vec<TransferRecord> {
+                let out = (next..next + n).map(|i| pool[i % pool.len()].clone()).collect();
+                next += n;
+                out
+            };
+            let shared = Arc::new(RwLock::new(TransferLog::new()));
+            let mut live = GridFtpPerfProvider::from_shared(cfg.clone(), shared.clone());
+            let dir = std::env::temp_dir().join(format!(
+                "wanpred-provider-prop-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("transfers.ulm");
+            let mut filed = GridFtpPerfProvider::from_file(cfg.clone(), &path);
+
+            for (step, op) in ops.iter().enumerate() {
+                match *op {
+                    LogOp::Append(n) => {
+                        let batch = cycle(n);
+                        let mut log = shared.write();
+                        for r in batch {
+                            log.append(r);
+                        }
+                    }
+                    LogOp::TruncateFront(n) => shared.write().truncate_front(n),
+                    LogOp::Flush => {
+                        shared.write().flush();
+                    }
+                    LogOp::Replace(n) => *shared.write() = cycle(n).into_iter().collect(),
+                }
+                let now = 5_000 + step as u64;
+                let want = to_ldif_document(&oracle_entries(&cfg, &shared.read(), now));
+                let got = to_ldif_document(&live.provide(now).unwrap());
+                prop_assert_eq!(&got, &want, "step {} ({:?})", step, op);
+                prop_assert_eq!(&to_ldif_document(&live.build_entries(now)), &want);
+
+                std::fs::write(&path, shared.read().to_ulm_string_checksummed()).unwrap();
+                let (reread, _) = TransferLog::load_ulm_salvaged(&path).unwrap();
+                prop_assert_eq!(
+                    to_ldif_document(&filed.provide(now).unwrap()),
+                    to_ldif_document(&oracle_entries(&cfg, &reread, now))
+                );
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -9,6 +9,7 @@
 
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::integrity;
 use crate::record::TransferRecord;
@@ -43,15 +44,84 @@ impl From<io::Error> for LogError {
 }
 
 /// An in-memory transfer log.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TransferLog {
     records: Vec<TransferRecord>,
+    epoch: Epoch,
+}
+
+/// Which append-only run of a log a reader is looking at; see
+/// [`TransferLog::epoch`]. Every new value is unique in the process, and
+/// a cloned log starts its own run: the two can diverge from there.
+#[derive(Debug)]
+struct Epoch(u64);
+
+impl Epoch {
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        // Relaxed: the number only has to be unique; it publishes nothing.
+        Epoch(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Default for Epoch {
+    fn default() -> Self {
+        Epoch::fresh()
+    }
+}
+
+impl Clone for Epoch {
+    fn clone(&self) -> Self {
+        Epoch::fresh()
+    }
+}
+
+/// Logs are equal when their records are; the epoch is bookkeeping.
+impl PartialEq for TransferLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.records == other.records
+    }
+}
+
+/// The serialised form is the records alone (what the derive produced
+/// before the epoch existed); a deserialised log starts a new epoch.
+impl serde::Serialize for TransferLog {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![("records".to_string(), self.records.to_value())])
+    }
+}
+
+impl serde::Deserialize for TransferLog {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| serde::Error::custom("expected map for TransferLog"))?;
+        let records = Vec::from_value(serde::map_get(m, "records")?)?;
+        Ok(TransferLog {
+            records,
+            epoch: Epoch::fresh(),
+        })
+    }
 }
 
 impl TransferLog {
     /// An empty log.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The log's current append-only run. While two reads of a log see
+    /// the same epoch, nothing but [`append`](TransferLog::append) has
+    /// happened in between: the records the first read saw are a prefix
+    /// of what the second sees, so an incremental consumer may resume at
+    /// its old length. The epoch changes when records leave
+    /// ([`truncate_front`](TransferLog::truncate_front),
+    /// [`flush`](TransferLog::flush)), and differs between any two logs
+    /// built separately — comparing boundary records instead would be
+    /// fooled by a writer that cycles a pool of records. It takes no part
+    /// in equality or in the serialised form.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.0
     }
 
     /// Append one record.
@@ -94,12 +164,14 @@ impl TransferLog {
     pub fn truncate_front(&mut self, n: usize) {
         if self.records.len() > n {
             self.records.drain(..self.records.len() - n);
+            self.epoch = Epoch::fresh();
         }
     }
 
     /// Remove all entries, returning them (the NetLogger-style
     /// flush-and-restart strategy).
     pub fn flush(&mut self) -> Vec<TransferRecord> {
+        self.epoch = Epoch::fresh();
         std::mem::take(&mut self.records)
     }
 
@@ -207,6 +279,7 @@ impl FromIterator<TransferRecord> for TransferLog {
     fn from_iter<T: IntoIterator<Item = TransferRecord>>(iter: T) -> Self {
         TransferLog {
             records: iter.into_iter().collect(),
+            epoch: Epoch::fresh(),
         }
     }
 }
@@ -356,5 +429,48 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].0, 100);
         assert!((s[0].1 - 1000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn epoch_changes_exactly_when_old_records_may_be_gone() {
+        let mut log = TransferLog::new();
+        let e0 = log.epoch();
+        for i in 0..6 {
+            log.append(rec(i, 1));
+        }
+        log.truncate_front(6); // drops nothing
+        assert_eq!(log.epoch(), e0, "appends and no-op trims keep the run");
+        log.truncate_front(4);
+        let e1 = log.epoch();
+        assert_ne!(e1, e0);
+        log.flush();
+        let e2 = log.epoch();
+        assert_ne!(e2, e1);
+        // Separately built logs never share a run, equal or not.
+        let copy = log.clone();
+        assert_eq!(copy, log);
+        assert_ne!(copy.epoch(), e2);
+        assert_ne!(TransferLog::new().epoch(), TransferLog::new().epoch());
+        let moved = std::mem::take(&mut log);
+        assert_eq!(moved.epoch(), e2, "a move keeps the run with the records");
+        assert_ne!(log.epoch(), e2);
+    }
+
+    #[test]
+    fn epoch_stays_out_of_the_serialised_form() {
+        use serde::{Deserialize, Serialize};
+        let mut log = TransferLog::new();
+        log.append(rec(1, 1));
+        let v = log.to_value();
+        let fields: Vec<&str> = v
+            .as_map()
+            .expect("a struct serialises as a map")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(fields, ["records"]);
+        let back = TransferLog::from_value(&v).unwrap();
+        assert_eq!(back, log);
+        assert_ne!(back.epoch(), log.epoch());
     }
 }

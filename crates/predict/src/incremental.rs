@@ -638,6 +638,7 @@ mod tests {
     use super::*;
     use crate::classify::PAPER_MB;
     use crate::evaluation::{EvalEngine, Evaluation};
+    use crate::predictor::testutil::bursty_series;
     use crate::registry::full_suite;
 
     fn evaluate(
@@ -688,36 +689,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// A bursty multi-class series exercising every window kind:
-    /// irregular gaps (some larger than the 5-hour window), all four
-    /// size classes, and a regime change.
-    fn bursty_series(n: usize) -> Vec<Observation> {
-        let sizes = [2, 100, 400, 1000, 25, 150, 750];
-        let mut t = 1_000_000u64;
-        (0..n)
-            .map(|i| {
-                t += match i % 7 {
-                    0 => 30,
-                    1 => 600,
-                    2 => 3_600,
-                    3 => 7 * 3_600, // clears the 5hr window
-                    _ => 200 + (i as u64 * 37) % 900,
-                };
-                Observation {
-                    at_unix: t,
-                    bandwidth_kbs: if i < n / 2 {
-                        500.0 + (i as f64 * 13.7) % 300.0
-                    } else {
-                        4_000.0 + (i as f64 * 7.3) % 900.0
-                    },
-                    file_size: sizes[i % sizes.len()] * PAPER_MB,
-                    streams: 1,
-                    tcp_buffer: 0,
-                }
-            })
-            .collect()
     }
 
     #[test]

@@ -118,6 +118,10 @@ pub struct Tournament {
     /// the best predictor differs per size regime.
     class_scores: Vec<[RollingMape; 4]>,
     history: Vec<Observation>,
+    /// `history` split by size class (`[SizeClass::index()]`), so the
+    /// classified half of the pool reads its slice instead of each
+    /// candidate filtering the full history on every call.
+    by_class: [Vec<Observation>; 4],
     opts: TournamentOptions,
     /// Current global leader (index into `candidates`), once anyone has
     /// scored.
@@ -143,6 +147,7 @@ impl Tournament {
                 .map(|_| std::array::from_fn(|_| RollingMape::new(opts.class_window)))
                 .collect(),
             history: Vec::new(),
+            by_class: Default::default(),
             opts,
             leader: seed,
             class_leaders: [seed; 4],
@@ -166,9 +171,7 @@ impl Tournament {
         // tidy: allow(float-eq): exact zero-measurement sentinel, same convention as eval::abs_pct_error
         if !self.history.is_empty() && o.bandwidth_kbs != 0.0 {
             for i in 0..self.candidates.len() {
-                if let Some(pred) =
-                    self.candidates[i].predict(&self.history, o.at_unix, o.file_size)
-                {
+                if let Some(pred) = self.candidate_predict(i, o.at_unix, o.file_size) {
                     let err = (o.bandwidth_kbs - pred).abs() / o.bandwidth_kbs.abs() * 100.0;
                     self.scores[i].record(err);
                     self.class_scores[i][class].record(err);
@@ -176,7 +179,13 @@ impl Tournament {
             }
         }
         self.history.push(o);
+        self.by_class[class].push(o);
         self.refresh_leaders(class);
+    }
+
+    /// Candidate `i`'s prediction from the absorbed history.
+    fn candidate_predict(&self, i: usize, now: u64, target_size: u64) -> Option<f64> {
+        self.candidates[i].predict_presplit(&self.history, &self.by_class, now, target_size)
     }
 
     /// Rolling MAPE of a candidate by index, if it has scored in-window.
@@ -323,14 +332,14 @@ impl Tournament {
             .into_iter()
             .flatten()
         {
-            if let Some(pred) = self.candidates[i].predict(&self.history, now, target_size) {
+            if let Some(pred) = self.candidate_predict(i, now, target_size) {
                 return Some((self.candidates[i].name(), pred));
             }
         }
         let mut order: Vec<usize> = (0..self.candidates.len()).collect();
         order.sort_by(|&a, &b| self.rank_cmp(a, b));
         for i in order {
-            if let Some(pred) = self.candidates[i].predict(&self.history, now, target_size) {
+            if let Some(pred) = self.candidate_predict(i, now, target_size) {
                 return Some((self.candidates[i].name(), pred));
             }
         }

@@ -7,7 +7,7 @@
 //! max-min allocator; between changes, flows drain linearly, so the next
 //! completion time is exact.
 
-use crate::fair::{solve, FairFlow};
+use crate::fair::Solver;
 use crate::flow::{Flow, FlowDone, FlowFailed, FlowId, FlowSpec};
 use crate::index::VecMap;
 use crate::load::{LinkLoadModel, LoadModelConfig};
@@ -45,6 +45,9 @@ pub struct Network {
     /// Per-link capacity-degradation factor in `(0, 1]` (fault
     /// injection); 1.0 means healthy.
     degrade: Vec<f64>,
+    /// The fair-share solver's working vectors, kept so that a re-solve
+    /// allocates nothing.
+    solver: Solver,
 }
 
 impl Network {
@@ -72,6 +75,7 @@ impl Network {
             dirty: true,
             outages: vec![false; n_links],
             degrade: vec![1.0; n_links],
+            solver: Solver::default(),
         }
     }
 
@@ -195,17 +199,6 @@ impl Network {
         }
     }
 
-    /// Effective capacity of link index `l` in bytes/sec, after outage
-    /// and degradation, floored so the solver stays well-posed.
-    fn effective_capacity(&self, l: usize, nominal: f64) -> f64 {
-        let factor = if self.outages[l] {
-            0.0
-        } else {
-            self.degrade[l]
-        };
-        (nominal * factor).max(OUTAGE_CAPACITY_FLOOR)
-    }
-
     /// Ids of active flows whose route traverses `link`, ascending.
     pub fn flows_on_link(&self, link: LinkId) -> Vec<FlowId> {
         self.flows
@@ -250,11 +243,6 @@ impl Network {
         if !self.dirty {
             return;
         }
-        // VecMap keys iterate in ascending flow-id order (and flow ids
-        // are handed out monotonically, so admission is an O(1) append),
-        // keeping the solve order deterministic by construction.
-        let ids: Vec<FlowId> = self.flows.keys().copied().collect();
-
         // Queueing delay: background load along a path inflates the
         // effective RTT seen by its flows, which lowers window-limited
         // rate caps (share-limited bulk flows are unaffected). The factor
@@ -268,37 +256,39 @@ impl Network {
             f.queue_factor = (1.0 + QUEUE_DELAY_PER_WEIGHT * w_max).min(QUEUE_FACTOR_MAX);
         }
 
-        let n_links = self.topo.link_count();
-        let mut capacities = Vec::with_capacity(n_links);
-        for (l, (_, link)) in self.topo.links().enumerate() {
-            capacities.push(self.effective_capacity(l, link.capacity_bps));
-        }
-
-        let mut fair_flows = Vec::with_capacity(ids.len() + n_links);
-        for id in &ids {
-            let f = &self.flows[id];
-            fair_flows.push(FairFlow {
-                weight: f.spec.streams as f64,
-                cap: f.rate_cap(),
-                links: f.links.iter().map(|l| l.0 as usize).collect(),
+        // Effective capacity after outage and degradation, floored so the
+        // solver stays well-posed.
+        let capacities = self
+            .topo
+            .links()
+            .zip(self.outages.iter().zip(&self.degrade))
+            .map(|((_, link), (&out, &degrade))| {
+                let factor = if out { 0.0 } else { degrade };
+                (link.capacity_bps * factor).max(OUTAGE_CAPACITY_FLOOR)
             });
+        self.solver.begin(capacities);
+        // VecMap iterates in ascending flow-id order (and flow ids are
+        // handed out monotonically, so admission is an O(1) append),
+        // keeping the solve order deterministic by construction.
+        for f in self.flows.values() {
+            self.solver.push_flow(
+                f.spec.streams as f64,
+                f.rate_cap(),
+                f.links.iter().map(|l| l.0 as usize),
+            );
         }
         // Background pseudo-flows: one per link with the load model's
         // weight, uncapped, confined to that link.
-        for l in 0..n_links {
-            let w = self.loads[l].weight();
+        for (l, load) in self.loads.iter().enumerate() {
+            let w = load.weight();
             if w > 1e-9 {
-                fair_flows.push(FairFlow {
-                    weight: w,
-                    cap: f64::INFINITY,
-                    links: vec![l],
-                });
+                self.solver.push_flow(w, f64::INFINITY, std::iter::once(l));
             }
         }
 
-        let rates = solve(&capacities, &fair_flows);
-        for (i, id) in ids.iter().enumerate() {
-            self.flows.get_mut(id).expect("flow exists").rate = rates[i];
+        let rates = self.solver.solve();
+        for (f, &rate) in self.flows.values_mut().zip(rates) {
+            f.rate = rate;
         }
         self.dirty = false;
     }
