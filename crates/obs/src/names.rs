@@ -28,6 +28,14 @@ pub const SIMNET_FLOWS_FAILED: &str = "simnet.flows.failed";
 pub const SIMNET_FLOW_DURATION_US: &str = "simnet.flow.duration_us";
 /// Histogram of completed-flow sizes in bytes.
 pub const SIMNET_FLOW_BYTES: &str = "simnet.flow.bytes";
+/// Fair-share sub-problems solved: one per connected component of links
+/// and flows that an event touched. Against `simnet.engine.events` it
+/// says how much solving an event costs.
+pub const SIMNET_NETWORK_SOLVES: &str = "simnet.network.solves";
+/// Foreground flows in those sub-problems; divided by
+/// `simnet.network.solves` it is the mean component size, i.e. whether
+/// the topology still decomposes.
+pub const SIMNET_NETWORK_FLOWS_SOLVED: &str = "simnet.network.flows_solved";
 
 /// Transfer requests accepted by the manager.
 pub const GRIDFTP_SUBMITTED: &str = "gridftp.transfers.submitted";
@@ -182,6 +190,8 @@ pub fn all() -> &'static [&'static str] {
         SIMNET_FLOWS_FAILED,
         SIMNET_FLOW_DURATION_US,
         SIMNET_FLOW_BYTES,
+        SIMNET_NETWORK_SOLVES,
+        SIMNET_NETWORK_FLOWS_SOLVED,
         GRIDFTP_SUBMITTED,
         GRIDFTP_COMPLETED,
         GRIDFTP_RETRIES,

@@ -21,6 +21,7 @@ use wanpred_obs::{names, ObsSink};
 
 use crate::fault::{FaultAction, FaultSchedule};
 use crate::flow::{FlowDone, FlowFailed, FlowId, FlowSpec};
+use crate::index::VecMap;
 use crate::network::Network;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::TopologyError;
@@ -98,7 +99,7 @@ pub struct Ctx<'a> {
     network: &'a mut Network,
     queue: &'a mut BinaryHeap<Reverse<Event>>,
     seq: &'a mut u64,
-    flow_owner: &'a mut Vec<(FlowId, AgentId)>,
+    flow_owner: &'a mut VecMap<FlowId, AgentId>,
 }
 
 impl Ctx<'_> {
@@ -146,7 +147,7 @@ impl Ctx<'_> {
             };
             self.queue.push(Reverse(ev));
         }
-        self.flow_owner.push((id, self.agent));
+        self.flow_owner.insert(id, self.agent);
         Ok(id)
     }
 
@@ -161,9 +162,8 @@ impl Ctx<'_> {
     /// Abort one of this agent's flows; returns delivered fraction, or
     /// `None` if the flow already finished.
     pub fn abort_flow(&mut self, id: FlowId) -> Option<f64> {
-        let p = self.network.abort_flow(id, self.now);
-        self.flow_owner.retain(|(f, _)| *f != id);
-        p
+        self.flow_owner.remove(&id);
+        self.network.abort_flow(id, self.now)
     }
 
     /// Update the external (storage) rate cap on a flow.
@@ -187,6 +187,8 @@ struct RunTally {
     load_ticks: u64,
     timers: u64,
     faults: u64,
+    solves: u64,
+    flows_solved: u64,
     flow_durations: Vec<u64>,
     flow_bytes: Vec<u64>,
 }
@@ -198,6 +200,8 @@ impl RunTally {
         obs.inc_by(names::SIMNET_ENGINE_LOAD_TICKS, self.load_ticks);
         obs.inc_by(names::SIMNET_ENGINE_TIMERS, self.timers);
         obs.inc_by(names::SIMNET_ENGINE_FAULTS, self.faults);
+        obs.inc_by(names::SIMNET_NETWORK_SOLVES, self.solves);
+        obs.inc_by(names::SIMNET_NETWORK_FLOWS_SOLVED, self.flows_solved);
         obs.observe_many(names::SIMNET_FLOW_DURATION_US, &self.flow_durations);
         obs.observe_many(names::SIMNET_FLOW_BYTES, &self.flow_bytes);
     }
@@ -210,7 +214,8 @@ pub struct Engine {
     queue: BinaryHeap<Reverse<Event>>,
     seq: u64,
     agents: Vec<Option<Box<dyn Agent>>>,
-    flow_owner: Vec<(FlowId, AgentId)>,
+    /// Flow ids are handed out monotonically, so admission appends.
+    flow_owner: VecMap<FlowId, AgentId>,
     started: bool,
     tracer: Option<LinkTracer>,
     events_processed: u64,
@@ -234,7 +239,7 @@ impl Engine {
             queue,
             seq: 1,
             agents: Vec::new(),
-            flow_owner: Vec::new(),
+            flow_owner: VecMap::new(),
             started: false,
             tracer: None,
             events_processed: 0,
@@ -330,6 +335,7 @@ impl Engine {
         // sink's cost budget. Counters and histograms merge commutatively,
         // so deferred emission cannot change the exported snapshot.
         let mut tally = RunTally::default();
+        let (solves, flows_solved) = (self.network.solves(), self.network.flows_solved());
         loop {
             self.network.resolve();
             let next_event = self.queue.peek().map(|Reverse(e)| e.at);
@@ -362,11 +368,8 @@ impl Engine {
                 }
                 let owner = self
                     .flow_owner
-                    .iter()
-                    .find(|(f, _)| *f == id)
-                    .map(|(_, a)| *a)
+                    .remove(&id)
                     .expect("completed flow has an owner");
-                self.flow_owner.retain(|(f, _)| *f != id);
                 self.dispatch(owner, Dispatch::FlowDone(done));
             } else {
                 let at = next_event.expect("checked above");
@@ -406,6 +409,8 @@ impl Engine {
             }
         }
         if self.obs.is_enabled() {
+            tally.solves = self.network.solves() - solves;
+            tally.flows_solved = self.network.flows_solved() - flows_solved;
             tally.flush(&self.obs);
         }
         // Settle the clock at the horizon so subsequent stages resume from
@@ -429,13 +434,7 @@ impl Engine {
                         continue;
                     };
                     self.obs.inc(names::SIMNET_FLOWS_FAILED);
-                    let owner = self
-                        .flow_owner
-                        .iter()
-                        .find(|(f, _)| *f == id)
-                        .map(|(_, a)| *a);
-                    self.flow_owner.retain(|(f, _)| *f != id);
-                    if let Some(owner) = owner {
+                    if let Some(owner) = self.flow_owner.remove(&id) {
                         self.dispatch(owner, Dispatch::FlowFailed(failed));
                     }
                 }
@@ -769,5 +768,37 @@ mod tests {
         // Both start at t=1, share 2 MB/s -> each ~1 MB/s -> done at t=3.
         assert!((d1.finished.as_secs_f64() - 3.0).abs() < 0.01, "{d1:?}");
         assert!((d2.finished.as_secs_f64() - 3.0).abs() < 0.01);
+    }
+
+    #[test]
+    fn solve_counters_flush_with_each_run() {
+        let (network, a, b) = net(2e6);
+        let mut eng = Engine::new(network);
+        let obs = ObsSink::enabled();
+        eng.set_obs(obs.clone());
+        for bytes in [2_000_000, 3_000_000] {
+            eng.add_agent(Box::new(OneShot {
+                from: a,
+                to: b,
+                bytes,
+                tcp: TcpParams::tuned_1mb(),
+                done: None,
+            }));
+        }
+        // Two stages, the first ending mid-transfer: the sink holds the
+        // network's totals, not one stage's or one stage twice.
+        eng.run_until(SimTime::from_secs(2));
+        eng.run_until(SimTime::from_secs(30));
+        assert_eq!(eng.network().active_flows(), 0);
+        let snap = obs.snapshot();
+        let solves = snap.counter(names::SIMNET_NETWORK_SOLVES);
+        let flows_solved = snap.counter(names::SIMNET_NETWORK_FLOWS_SOLVED);
+        assert_eq!(solves, eng.network().solves());
+        assert_eq!(flows_solved, eng.network().flows_solved());
+        // Both flows share the one link while both are alive.
+        assert!(
+            solves > 0 && flows_solved > solves,
+            "{flows_solved} in {solves}"
+        );
     }
 }

@@ -2,10 +2,25 @@
 //! link, and the fluid rate solution.
 //!
 //! The [`Network`] owns the topology, one [`LinkLoadModel`] per link, and
-//! the set of in-flight flows. Whenever the flow population or any
-//! background weight changes, rates are re-solved with the weighted
-//! max-min allocator; between changes, flows drain linearly, so the next
+//! the set of in-flight flows. Whenever the flow population, a link's
+//! state or any background weight changes, the rates of the flows that
+//! share capacity with the change are re-solved with the weighted max-min
+//! allocator; between changes, flows drain linearly, so the next
 //! completion time is exact.
+//!
+//! ## Component-local re-solve
+//!
+//! A flow's max-min rate depends only on its **component**: the links
+//! reachable from its route by stepping from a link to any flow crossing
+//! it and on to that flow's other links, with the flows on them and those
+//! links' background load. Every mutator marks the links it touches
+//! ([`Touched`]); [`Network::resolve`] partitions the flow-carrying links
+//! into components and hands the solver one sub-problem per component
+//! that contains a marked link. The flows of every other component keep
+//! their rates, which is exact: a component's rates are a pure function
+//! of its own sub-problem, an unmarked component's sub-problem is the one
+//! it was last solved with, and flow byte counts are still integrated for
+//! every flow at every event.
 
 use crate::fair::Solver;
 use crate::flow::{Flow, FlowDone, FlowFailed, FlowId, FlowSpec};
@@ -28,6 +43,85 @@ pub const QUEUE_FACTOR_MAX: f64 = 2.5;
 /// horizon) and recover when the link comes back.
 pub const OUTAGE_CAPACITY_FLOOR: f64 = 1e-3;
 
+/// The links whose sub-problem changed since the last resolve.
+#[derive(Debug)]
+struct Touched {
+    marked: Vec<bool>,
+    /// Some link is marked: rates are stale and must be re-solved before
+    /// use.
+    any: bool,
+}
+
+impl Touched {
+    fn link(&mut self, link: LinkId) {
+        self.marked[link.0 as usize] = true;
+        self.any = true;
+    }
+
+    fn route(&mut self, links: &[LinkId]) {
+        for &l in links {
+            self.link(l);
+        }
+    }
+
+    fn all(&mut self) {
+        self.marked.fill(true);
+        self.any = true;
+    }
+
+    fn clear(&mut self) {
+        self.marked.fill(false);
+        self.any = false;
+    }
+}
+
+/// Marks a link no flow crosses in [`Partition::parent`].
+const NO_FLOW: usize = usize::MAX;
+
+/// [`Network::resolve`]'s scratch for partitioning the flow-carrying
+/// links into components: sized by link count, empty between resolves and
+/// reused, so that a re-solve allocates nothing.
+#[derive(Debug)]
+struct Partition {
+    /// Union-find forest over link indices, the smaller index as root;
+    /// [`NO_FLOW`] for a link no flow crosses.
+    parent: Vec<usize>,
+    /// The links some flow crosses, in first-met order.
+    carrying: Vec<usize>,
+    /// Roots of the components to solve, ascending.
+    roots: Vec<usize>,
+    /// Links of the component being solved, ascending.
+    members: Vec<usize>,
+    /// A member link's position in `members`: its number in the solver's
+    /// sub-problem.
+    local: Vec<usize>,
+}
+
+impl Partition {
+    fn find(&mut self, mut l: usize) -> usize {
+        while self.parent[l] != l {
+            // Path halving.
+            self.parent[l] = self.parent[self.parent[l]];
+            l = self.parent[l];
+        }
+        l
+    }
+
+    /// Put `l` in the component rooted at `root` (if any) and return the
+    /// joint root. A link met for the first time starts its own component.
+    fn join(&mut self, root: Option<usize>, l: usize) -> usize {
+        if self.parent[l] == NO_FLOW {
+            self.parent[l] = l;
+            self.carrying.push(l);
+        }
+        let b = self.find(l);
+        let Some(a) = root else { return b };
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        self.parent[hi] = lo;
+        lo
+    }
+}
+
 /// The live network: topology + load + flows.
 #[derive(Debug)]
 pub struct Network {
@@ -37,17 +131,21 @@ pub struct Network {
     next_id: u64,
     /// Time to which flow byte-counts have been integrated.
     integrated_to: SimTime,
-    /// Rates are stale and must be re-solved before use.
-    dirty: bool,
+    touched: Touched,
     /// Per-link outage flag (fault injection): an out link's effective
     /// capacity is clamped to [`OUTAGE_CAPACITY_FLOOR`].
     outages: Vec<bool>,
     /// Per-link capacity-degradation factor in `(0, 1]` (fault
     /// injection); 1.0 means healthy.
     degrade: Vec<f64>,
-    /// The fair-share solver's working vectors, kept so that a re-solve
-    /// allocates nothing.
+    parts: Partition,
+    /// The fair-share solver's working vectors, shared by every component
+    /// and kept so that a re-solve allocates nothing.
     solver: Solver,
+    /// Component sub-problems solved so far.
+    solves: u64,
+    /// Foreground flows in those sub-problems.
+    flows_solved: u64,
 }
 
 impl Network {
@@ -72,10 +170,22 @@ impl Network {
             flows: VecMap::new(),
             next_id: 0,
             integrated_to: SimTime::ZERO,
-            dirty: true,
+            touched: Touched {
+                marked: vec![false; n_links],
+                any: false,
+            },
             outages: vec![false; n_links],
             degrade: vec![1.0; n_links],
+            parts: Partition {
+                parent: vec![NO_FLOW; n_links],
+                carrying: Vec::new(),
+                roots: Vec::new(),
+                members: Vec::new(),
+                local: vec![0; n_links],
+            },
             solver: Solver::default(),
+            solves: 0,
+            flows_solved: 0,
         }
     }
 
@@ -119,9 +229,9 @@ impl Network {
         let rtt = self.topo.rtt(spec.from, spec.to)?;
         let id = FlowId(self.next_id);
         self.next_id += 1;
+        self.touched.route(&route.links);
         let flow = Flow::admit(spec, route.links, rtt, now);
         self.flows.insert(id, flow);
-        self.dirty = true;
         Ok(id)
     }
 
@@ -146,7 +256,7 @@ impl Network {
         self.integrate_to(now);
         if let Some(f) = self.flows.get_mut(&id) {
             if f.ramp_window() {
-                self.dirty = true;
+                self.touched.route(&f.links);
                 return true;
             }
         }
@@ -159,7 +269,7 @@ impl Network {
         if let Some(f) = self.flows.get_mut(&id) {
             if (f.external_cap - cap).abs() > f64::EPSILON {
                 f.external_cap = cap;
-                self.dirty = true;
+                self.touched.route(&f.links);
             }
         }
     }
@@ -172,7 +282,7 @@ impl Network {
         let slot = &mut self.outages[link.0 as usize];
         if *slot != out {
             *slot = out;
-            self.dirty = true;
+            self.touched.link(link);
         }
     }
 
@@ -185,7 +295,7 @@ impl Network {
         let slot = &mut self.degrade[link.0 as usize];
         if (*slot - factor).abs() > f64::EPSILON {
             *slot = factor;
-            self.dirty = true;
+            self.touched.link(link);
         }
     }
 
@@ -213,7 +323,7 @@ impl Network {
     pub fn fail_flow(&mut self, id: FlowId, now: SimTime) -> Option<FlowFailed> {
         self.integrate_to(now);
         let f = self.flows.remove(&id)?;
-        self.dirty = true;
+        self.touched.route(&f.links);
         let fraction = f.progress().clamp(0.0, 1.0);
         let delivered = (f.spec.bytes as f64 - f.remaining).max(0.0);
         Some(FlowFailed {
@@ -226,71 +336,127 @@ impl Network {
         })
     }
 
-    /// Advance background load models to `t` and mark rates stale if any
-    /// foreground flow is active.
+    /// Advance background load models to `t` and mark every link if any
+    /// foreground flow is active: the weights feed every sub-problem and
+    /// every queueing factor.
     pub fn load_tick_to(&mut self, t: SimTime) {
         self.integrate_to(t);
         for l in &mut self.loads {
             l.advance_to(t);
         }
         if !self.flows.is_empty() {
-            self.dirty = true;
+            self.touched.all();
         }
     }
 
-    /// Re-solve rates if stale.
+    /// Re-solve the rates of every component an event touched since the
+    /// last call; a no-op when nothing was.
+    ///
+    /// Against one max-min problem over the whole network (what this
+    /// function used to build, kept as the tests' oracle) the allocation
+    /// is the same but not bit-identical: the solver's fill level carries
+    /// rounding from one round to the next, and in the whole-network
+    /// problem those rounds include other components'. The differences
+    /// are a few ulps and the two agree to the solver's own saturation
+    /// tolerance (1e-9 relative).
     pub fn resolve(&mut self) {
-        if !self.dirty {
+        if !self.touched.any {
             return;
         }
-        // Queueing delay: background load along a path inflates the
-        // effective RTT seen by its flows, which lowers window-limited
-        // rate caps (share-limited bulk flows are unaffected). The factor
-        // is linear in the heaviest competing weight on the path, capped.
-        for f in self.flows.values_mut() {
-            let w_max = f
-                .links
-                .iter()
-                .map(|l| self.loads[l.0 as usize].weight())
-                .fold(0.0f64, f64::max);
-            f.queue_factor = (1.0 + QUEUE_DELAY_PER_WEIGHT * w_max).min(QUEUE_FACTOR_MAX);
-        }
+        let p = &mut self.parts;
 
-        // Effective capacity after outage and degradation, floored so the
-        // solver stays well-posed.
-        let capacities = self
-            .topo
-            .links()
-            .zip(self.outages.iter().zip(&self.degrade))
-            .map(|((_, link), (&out, &degrade))| {
-                let factor = if out { 0.0 } else { degrade };
-                (link.capacity_bps * factor).max(OUTAGE_CAPACITY_FLOOR)
-            });
-        self.solver.begin(capacities);
-        // VecMap iterates in ascending flow-id order (and flow ids are
-        // handed out monotonically, so admission is an O(1) append),
-        // keeping the solve order deterministic by construction.
+        // Partition the flow-carrying links: each flow joins the links of
+        // its route. Afterwards every carrying link points at its root.
         for f in self.flows.values() {
-            self.solver.push_flow(
-                f.spec.streams as f64,
-                f.rate_cap(),
-                f.links.iter().map(|l| l.0 as usize),
-            );
-        }
-        // Background pseudo-flows: one per link with the load model's
-        // weight, uncapped, confined to that link.
-        for (l, load) in self.loads.iter().enumerate() {
-            let w = load.weight();
-            if w > 1e-9 {
-                self.solver.push_flow(w, f64::INFINITY, std::iter::once(l));
+            let mut root = None;
+            for l in &f.links {
+                root = Some(p.join(root, l.0 as usize));
             }
         }
-
-        let rates = self.solver.solve();
-        for (f, &rate) in self.flows.values_mut().zip(rates) {
-            f.rate = rate;
+        for i in 0..p.carrying.len() {
+            let l = p.carrying[i];
+            p.parent[l] = p.find(l);
         }
-        self.dirty = false;
+
+        // The components to solve: those with a touched link.
+        for &l in &p.carrying {
+            if self.touched.marked[l] {
+                p.roots.push(p.parent[l]);
+            }
+        }
+        p.roots.sort_unstable();
+        p.roots.dedup();
+
+        for &root in &p.roots {
+            let parent = &p.parent;
+            let in_component = |f: &Flow| {
+                f.links
+                    .first()
+                    .is_some_and(|l| parent[l.0 as usize] == root)
+            };
+
+            // The sub-problem, in the order the whole network would be
+            // presented: links ascending and renumbered from zero, then
+            // flows ascending (VecMap iterates in flow-id order), then the
+            // links' background pseudo-flows.
+            p.members.clear();
+            p.members
+                .extend(p.carrying.iter().copied().filter(|&l| parent[l] == root));
+            p.members.sort_unstable();
+            for (k, &l) in p.members.iter().enumerate() {
+                p.local[l] = k;
+            }
+            self.solver.begin(p.members.iter().map(|&l| {
+                let link = self
+                    .topo
+                    .link(LinkId(l as u32))
+                    .expect("member link exists");
+                effective_capacity(link.capacity_bps, self.outages[l], self.degrade[l])
+            }));
+            let mut n_flows = 0;
+            for f in self.flows.values_mut().filter(|f| in_component(f)) {
+                f.queue_factor = queue_factor(&self.loads, &f.links);
+                self.solver.push_flow(
+                    f.spec.streams as f64,
+                    f.rate_cap(),
+                    f.links.iter().map(|l| p.local[l.0 as usize]),
+                );
+                n_flows += 1;
+            }
+            for (k, &l) in p.members.iter().enumerate() {
+                push_background(&mut self.solver, self.loads[l].weight(), k);
+            }
+
+            let rates = self.solver.solve();
+            for (f, &rate) in self
+                .flows
+                .values_mut()
+                .filter(|f| in_component(f))
+                .zip(rates)
+            {
+                f.rate = rate;
+            }
+            self.solves += 1;
+            self.flows_solved += n_flows;
+        }
+
+        for &l in &p.carrying {
+            p.parent[l] = NO_FLOW;
+        }
+        p.carrying.clear();
+        p.roots.clear();
+        self.touched.clear();
+    }
+
+    /// Component sub-problems [`Network::resolve`] has solved so far.
+    pub fn solves(&self) -> u64 {
+        self.solves
+    }
+
+    /// Foreground flows in the sub-problems counted by
+    /// [`Network::solves`]; their ratio is the mean component size.
+    pub fn flows_solved(&self) -> u64 {
+        self.flows_solved
     }
 
     /// Integrate flow progress (linear drain at current rates) up to `t`.
@@ -300,7 +466,7 @@ impl Network {
         }
         let dt = (t - self.integrated_to).as_secs_f64();
         if !self.flows.is_empty() {
-            debug_assert!(!self.dirty, "integrating with stale rates");
+            debug_assert!(!self.touched.any, "integrating with stale rates");
             for f in self.flows.values_mut() {
                 f.remaining = (f.remaining - f.rate * dt).max(0.0);
             }
@@ -311,7 +477,7 @@ impl Network {
     /// Earliest completion among active flows at current rates, if any.
     /// Requires rates to be fresh ([`Network::resolve`] first).
     pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
-        assert!(!self.dirty, "resolve before querying completions");
+        assert!(!self.touched.any, "resolve before querying completions");
         let mut best: Option<(SimTime, FlowId)> = None;
         for (&id, f) in &self.flows {
             let eta = if f.remaining <= 0.0 {
@@ -347,7 +513,7 @@ impl Network {
             "flow {id:?} retired with {} bytes left",
             f.remaining
         );
-        self.dirty = true;
+        self.touched.route(&f.links);
         let elapsed = now.saturating_since(f.started).as_secs_f64();
         let mean_rate = if elapsed > 0.0 {
             f.spec.bytes as f64 / elapsed
@@ -368,13 +534,40 @@ impl Network {
     pub fn abort_flow(&mut self, id: FlowId, now: SimTime) -> Option<f64> {
         self.integrate_to(now);
         let f = self.flows.remove(&id)?;
-        self.dirty = true;
+        self.touched.route(&f.links);
         Some(f.progress())
     }
 
     /// Time to which flow byte counts are integrated (mostly for tests).
     pub fn integrated_to(&self) -> SimTime {
         self.integrated_to
+    }
+}
+
+/// A link's capacity after outage and degradation, floored so the solver
+/// stays well-posed.
+fn effective_capacity(capacity_bps: f64, out: bool, degrade: f64) -> f64 {
+    let factor = if out { 0.0 } else { degrade };
+    (capacity_bps * factor).max(OUTAGE_CAPACITY_FLOOR)
+}
+
+/// Queueing delay: background load along a path inflates the effective
+/// RTT seen by its flows, which lowers window-limited rate caps
+/// (share-limited bulk flows are unaffected). The factor is linear in the
+/// heaviest competing weight on the path, capped.
+fn queue_factor(loads: &[LinkLoadModel], route: &[LinkId]) -> f64 {
+    let w_max = route
+        .iter()
+        .map(|l| loads[l.0 as usize].weight())
+        .fold(0.0f64, f64::max);
+    (1.0 + QUEUE_DELAY_PER_WEIGHT * w_max).min(QUEUE_FACTOR_MAX)
+}
+
+/// A link's background load as a pseudo-flow: the load model's weight,
+/// uncapped, confined to that link.
+fn push_background(solver: &mut Solver, weight: f64, link: usize) {
+    if weight > 1e-9 {
+        solver.push_flow(weight, f64::INFINITY, std::iter::once(link));
     }
 }
 
@@ -808,5 +1001,491 @@ mod queue_tests {
             .unwrap();
         net.resolve();
         assert!((net.flow(id).unwrap().queue_factor - QUEUE_FACTOR_MAX).abs() < 1e-12);
+    }
+}
+
+#[cfg(test)]
+impl Network {
+    /// Mark every link, so that the next [`Network::resolve`] re-solves
+    /// every component whether or not an event touched it.
+    fn touch_all(&mut self) {
+        self.touched.all();
+    }
+
+    /// The oracle: the body of [`Network::resolve`] from before it went
+    /// component-local — one max-min problem over every link, every flow
+    /// and every link's background load, on a fresh solver. Returns each
+    /// flow's `(rate, queue_factor)` in flow-id order; changes nothing.
+    fn whole_network_solve(&self) -> Vec<(f64, f64)> {
+        let mut flows: Vec<Flow> = self.flows.values().cloned().collect();
+        for f in &mut flows {
+            f.queue_factor = queue_factor(&self.loads, &f.links);
+        }
+        let mut solver = Solver::default();
+        solver.begin(
+            self.topo
+                .links()
+                .zip(self.outages.iter().zip(&self.degrade))
+                .map(|((_, link), (&out, &degrade))| {
+                    effective_capacity(link.capacity_bps, out, degrade)
+                }),
+        );
+        for f in &flows {
+            solver.push_flow(
+                f.spec.streams as f64,
+                f.rate_cap(),
+                f.links.iter().map(|l| l.0 as usize),
+            );
+        }
+        for (l, load) in self.loads.iter().enumerate() {
+            push_background(&mut solver, load.weight(), l);
+        }
+        let rates = solver.solve();
+        flows
+            .iter()
+            .zip(rates)
+            .map(|(f, &rate)| (rate, f.queue_factor))
+            .collect()
+    }
+}
+
+/// The component-local, dirty-tracked [`Network::resolve`] against three
+/// references, after every resolve of random op sequences on topologies
+/// whose components merge and split.
+#[cfg(test)]
+mod component_tests {
+    use super::*;
+    use crate::fair::{self, FairFlow};
+    use crate::flow::TcpParams;
+    use crate::topology::NodeId;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        /// Four servers and four clients around a hub: flows sharing a
+        /// spoke merge into one component and fall apart again.
+        Star,
+        /// Three hosts behind each of two routers: every crossing flow
+        /// shares the middle link, local ones do not.
+        Dumbbell,
+        /// Two duplex pairs that never share anything.
+        Pairs,
+    }
+
+    /// The topology, and the node pairs it routes.
+    fn build(shape: Shape, caps: &[f64]) -> (Topology, Vec<(NodeId, NodeId)>) {
+        let mut t = Topology::new();
+        let mut caps = caps.iter().copied().cycle();
+        let mut pairs = Vec::new();
+        let delay = SimDuration::from_millis(15);
+        let mut spoke = |t: &mut Topology, name: &str, hub: NodeId| {
+            let node = t.add_node(name);
+            let cap = caps.next().expect("cycled");
+            let (up, down) = t.add_duplex_link(name, node, hub, cap, delay).unwrap();
+            (node, up, down)
+        };
+        match shape {
+            Shape::Star => {
+                let hub = t.add_node("hub");
+                let servers: Vec<_> = (0..4)
+                    .map(|i| spoke(&mut t, &format!("s{i}"), hub))
+                    .collect();
+                let clients: Vec<_> = (0..4)
+                    .map(|i| spoke(&mut t, &format!("c{i}"), hub))
+                    .collect();
+                for &(s, s_up, s_down) in &servers {
+                    for &(c, c_up, c_down) in &clients {
+                        t.add_route(s, c, vec![s_up, c_down]).unwrap();
+                        t.add_route(c, s, vec![c_up, s_down]).unwrap();
+                        pairs.extend([(s, c), (c, s)]);
+                    }
+                }
+            }
+            Shape::Dumbbell => {
+                let a = t.add_node("a");
+                let (b, ba, ab) = spoke(&mut t, "b", a);
+                let left: Vec<_> = (0..3).map(|i| spoke(&mut t, &format!("l{i}"), a)).collect();
+                let right: Vec<_> = (0..3).map(|i| spoke(&mut t, &format!("r{i}"), b)).collect();
+                for &(l, l_up, l_down) in &left {
+                    for &(r, r_up, r_down) in &right {
+                        t.add_route(l, r, vec![l_up, ab, r_down]).unwrap();
+                        t.add_route(r, l, vec![r_up, ba, l_down]).unwrap();
+                        pairs.extend([(l, r), (r, l)]);
+                    }
+                }
+                for side in [&left, &right] {
+                    for &(x, x_up, _) in side {
+                        for &(y, _, y_down) in side {
+                            if x != y {
+                                t.add_route(x, y, vec![x_up, y_down]).unwrap();
+                                pairs.push((x, y));
+                            }
+                        }
+                    }
+                }
+            }
+            Shape::Pairs => {
+                for name in ["p", "q"] {
+                    let hub = t.add_node(format!("{name}0"));
+                    let (node, up, down) = spoke(&mut t, &format!("{name}1"), hub);
+                    t.add_route(node, hub, vec![up]).unwrap();
+                    t.add_route(hub, node, vec![down]).unwrap();
+                    pairs.extend([(node, hub), (hub, node)]);
+                }
+            }
+        }
+        (t, pairs)
+    }
+
+    /// One mutation. Flows and links are picked by index modulo what
+    /// exists when the op runs.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Start {
+            pair: usize,
+            bytes: u64,
+            streams: u32,
+            buffer_kb: u64,
+            /// Start with the window wide open: limited by its share, not
+            /// by slow start.
+            open: bool,
+        },
+        Ramp(usize),
+        Cap(usize, f64),
+        Outage(usize, bool),
+        Degrade(usize, f64),
+        Tick,
+        Abort(usize),
+        Fail(usize),
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let start = || {
+            (
+                0usize..64,
+                10_000u64..50_000_000,
+                1u32..=8,
+                16u64..2_048,
+                any::<bool>(),
+            )
+                .prop_map(|(pair, bytes, streams, buffer_kb, open)| Op::Start {
+                    pair,
+                    bytes,
+                    streams,
+                    buffer_kb,
+                    open,
+                })
+        };
+        prop_oneof![
+            // Arrivals outnumber the three ways out, so populations build up.
+            start(),
+            start(),
+            start(),
+            start(),
+            (0usize..64).prop_map(Op::Ramp),
+            (
+                0usize..64,
+                prop_oneof![Just(0.0), Just(f64::INFINITY), 1e3f64..5e7]
+            )
+                .prop_map(|(i, cap)| Op::Cap(i, cap)),
+            (0usize..64, any::<bool>()).prop_map(|(l, out)| Op::Outage(l, out)),
+            (0usize..64, prop_oneof![Just(1.0), 0.05f64..1.0]).prop_map(|(l, f)| Op::Degrade(l, f)),
+            Just(Op::Tick),
+            (0usize..64).prop_map(Op::Abort),
+            (0usize..64).prop_map(Op::Fail),
+        ]
+    }
+
+    /// How simulated time moves before a step's ops.
+    #[derive(Debug, Clone)]
+    enum Advance {
+        /// Same instant as the previous step.
+        Stay,
+        Millis(u64),
+        /// To the earliest completion, which is retired.
+        Complete,
+    }
+
+    fn arb_steps() -> impl Strategy<Value = Vec<(Advance, Vec<Op>)>> {
+        let advance = prop_oneof![
+            Just(Advance::Stay),
+            (1u64..2_000).prop_map(Advance::Millis),
+            // Long enough for the load models to move.
+            (30_000u64..200_000).prop_map(Advance::Millis),
+            Just(Advance::Complete),
+        ];
+        prop::collection::vec((advance, prop::collection::vec(arb_op(), 1..=3)), 1..=40)
+    }
+
+    fn apply(net: &mut Network, pairs: &[(NodeId, NodeId)], op: &Op, now: SimTime) {
+        let flow = |net: &Network, i: usize| {
+            let n = net.flows.len();
+            (n > 0).then(|| *net.flows.keys().nth(i % n).expect("in range"))
+        };
+        let link = |net: &Network, l: usize| LinkId((l % net.topo.link_count()) as u32);
+        match *op {
+            Op::Start {
+                pair,
+                bytes,
+                streams,
+                buffer_kb,
+                open,
+            } => {
+                let (from, to) = pairs[pair % pairs.len()];
+                let buffer_bytes = buffer_kb * 1024;
+                let tcp = TcpParams {
+                    buffer_bytes,
+                    init_window: if open { buffer_bytes } else { 2 * 1460 },
+                    mss: 1460,
+                };
+                net.start_flow(FlowSpec::new(from, to, bytes, streams, tcp), now)
+                    .expect("pair is routed");
+            }
+            Op::Ramp(i) => {
+                if let Some(id) = flow(net, i) {
+                    net.ramp_flow_window(id, now);
+                }
+            }
+            Op::Cap(i, cap) => {
+                if let Some(id) = flow(net, i) {
+                    net.set_external_cap(id, cap, now);
+                }
+            }
+            Op::Outage(l, out) => net.set_link_outage(link(net, l), out, now),
+            Op::Degrade(l, f) => net.set_link_degradation(link(net, l), f, now),
+            Op::Tick => net.load_tick_to(now),
+            Op::Abort(i) => {
+                if let Some(id) = flow(net, i) {
+                    net.abort_flow(id, now).expect("picked a live flow");
+                }
+            }
+            Op::Fail(i) => {
+                if let Some(id) = flow(net, i) {
+                    net.fail_flow(id, now).expect("picked a live flow");
+                }
+            }
+        }
+    }
+
+    /// The components by brute force, sharing no code with the partition
+    /// under test: grow a link set from each unclaimed flow until no flow
+    /// outside it crosses one of its links. Links and flows ascending.
+    fn flood_fill(net: &Network) -> Vec<(Vec<usize>, Vec<FlowId>)> {
+        let route = |f: &Flow| -> Vec<usize> { f.links.iter().map(|l| l.0 as usize).collect() };
+        let mut claimed = BTreeSet::new();
+        let mut out = Vec::new();
+        for (&seed, f) in &net.flows {
+            if claimed.contains(&seed) {
+                continue;
+            }
+            let mut links: BTreeSet<usize> = route(f).into_iter().collect();
+            let mut flows = BTreeSet::from([seed]);
+            loop {
+                let before = flows.len();
+                for (&id, g) in &net.flows {
+                    if route(g).iter().any(|l| links.contains(l)) {
+                        flows.insert(id);
+                        links.extend(route(g));
+                    }
+                }
+                if flows.len() == before {
+                    break;
+                }
+            }
+            claimed.extend(flows.iter().copied());
+            out.push((links.into_iter().collect(), flows.into_iter().collect()));
+        }
+        out
+    }
+
+    /// `fair::solve` on one flood-filled component, written out from the
+    /// network's public reads.
+    fn solve_component(net: &Network, links: &[usize], flows: &[FlowId]) -> Vec<f64> {
+        let caps: Vec<f64> = links
+            .iter()
+            .map(|&l| {
+                let id = LinkId(l as u32);
+                let base = net.topo.link(id).unwrap().capacity_bps;
+                (base * net.link_capacity_factor(id)).max(OUTAGE_CAPACITY_FLOOR)
+            })
+            .collect();
+        let local = |l: usize| links.iter().position(|&m| m == l).expect("member");
+        let mut problem: Vec<FairFlow> = flows
+            .iter()
+            .map(|id| {
+                let f = &net.flows[id];
+                FairFlow {
+                    weight: f.spec.streams as f64,
+                    cap: f.rate_cap(),
+                    links: f.links.iter().map(|l| local(l.0 as usize)).collect(),
+                }
+            })
+            .collect();
+        for (k, &l) in links.iter().enumerate() {
+            let w = net.link_weight(LinkId(l as u32));
+            if w > 1e-9 {
+                problem.push(FairFlow {
+                    weight: w,
+                    cap: f64::INFINITY,
+                    links: vec![k],
+                });
+            }
+        }
+        let mut rates = fair::solve(&caps, &problem);
+        rates.truncate(flows.len());
+        rates
+    }
+
+    fn check(net: &Network, twin: &Network) {
+        // (i) Skipping is exact: a network that re-solves everything at
+        // every resolve has the same bits.
+        assert_eq!(net.flows.len(), twin.flows.len());
+        for ((id, f), g) in net.flows.iter().zip(twin.flows.values()) {
+            assert_eq!(f.rate.to_bits(), g.rate.to_bits(), "{id:?} rate vs twin");
+            assert_eq!(
+                f.queue_factor.to_bits(),
+                g.queue_factor.to_bits(),
+                "{id:?} queue factor vs twin"
+            );
+        }
+        // (ii) The partition is exact: every flow has the rate of its
+        // flood-filled component solved on its own.
+        let mut seen = 0;
+        for (links, flows) in flood_fill(net) {
+            let rates = solve_component(net, &links, &flows);
+            for (id, want) in flows.iter().zip(rates) {
+                assert_eq!(
+                    net.flows[id].rate.to_bits(),
+                    want.to_bits(),
+                    "{id:?} vs its component {links:?}"
+                );
+                seen += 1;
+            }
+        }
+        assert_eq!(seen, net.flows.len(), "components tile the flows");
+        // (iii) Same allocation as the whole-network solve, to the
+        // solver's saturation tolerance.
+        for ((id, f), (rate, qf)) in net.flows.iter().zip(net.whole_network_solve()) {
+            assert!(
+                (f.rate - rate).abs() <= 1e-9 * rate.abs().max(f.rate.abs()),
+                "{id:?}: {} vs whole-network {rate}",
+                f.rate
+            );
+            assert_eq!(
+                f.queue_factor.to_bits(),
+                qf.to_bits(),
+                "{id:?} queue factor"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn component_local_resolve_is_exact(
+            shape in prop_oneof![Just(Shape::Star), Just(Shape::Dumbbell), Just(Shape::Pairs)],
+            caps in prop::collection::vec(1e6f64..5e7, 17),
+            seed in 0u64..1_000,
+            steps in arb_steps(),
+        ) {
+            let (topo, pairs) = build(shape, &caps);
+            let fresh = || {
+                Network::with_uniform_load(topo.clone(), LoadModelConfig::default(), MasterSeed(seed))
+            };
+            let (mut net, mut twin) = (fresh(), fresh());
+            let mut now = SimTime::ZERO;
+            for (advance, ops) in &steps {
+                match advance {
+                    Advance::Stay => {}
+                    Advance::Millis(ms) => now += SimDuration::from_millis(*ms),
+                    Advance::Complete => {
+                        let next = net.next_completion();
+                        prop_assert_eq!(next, twin.next_completion());
+                        if let Some((eta, id)) = next {
+                            now = now.max(eta);
+                            net.finish_flow(id, now);
+                            twin.finish_flow(id, now);
+                        }
+                    }
+                }
+                for op in ops {
+                    apply(&mut net, &pairs, op, now);
+                    apply(&mut twin, &pairs, op, now);
+                }
+                net.resolve();
+                twin.touch_all();
+                twin.resolve();
+                check(&net, &twin);
+                // Marking everything can only add solves.
+                prop_assert!(net.solves() <= twin.solves());
+                prop_assert!(net.flows_solved() <= twin.flows_solved());
+            }
+        }
+    }
+
+    fn start(net: &mut Network, pair: (NodeId, NodeId)) -> FlowId {
+        // Window wide open from the start, so that the flow is limited by
+        // its share.
+        let tcp = TcpParams {
+            buffer_bytes: 1 << 24,
+            init_window: 1 << 24,
+            mss: 1460,
+        };
+        let spec = FlowSpec::new(pair.0, pair.1, 1 << 30, 4, tcp);
+        net.start_flow(spec, SimTime::ZERO).unwrap()
+    }
+
+    #[test]
+    fn an_event_solves_only_the_component_it_touches() {
+        let (topo, pairs) = build(Shape::Pairs, &[8e6, 9e6]);
+        let mut net = Network::with_uniform_load(topo, LoadModelConfig::default(), MasterSeed(1));
+        let (p, q) = (pairs[0], pairs[2]);
+        let a = start(&mut net, p);
+        net.resolve();
+        assert_eq!((net.solves(), net.flows_solved()), (1, 1));
+        // A flow on the other pair shares nothing with the first.
+        let b = start(&mut net, q);
+        let rate_a = net.flow(a).unwrap().rate;
+        net.resolve();
+        assert_eq!((net.solves(), net.flows_solved()), (2, 2));
+        assert_eq!(net.flow(a).unwrap().rate.to_bits(), rate_a.to_bits());
+        // A second flow on the first pair re-solves that pair alone.
+        start(&mut net, p);
+        net.resolve();
+        assert_eq!((net.solves(), net.flows_solved()), (3, 4));
+        assert!(net.flow(a).unwrap().rate < rate_a);
+        // A fault on a link no flow crosses solves nothing; a tick, all.
+        net.set_link_outage(LinkId(1), true, SimTime::ZERO);
+        net.resolve();
+        assert_eq!(net.solves(), 3);
+        net.load_tick_to(SimTime::from_secs(60));
+        net.resolve();
+        assert_eq!((net.solves(), net.flows_solved()), (5, 7));
+        // Nothing touched, nothing solved.
+        net.resolve();
+        assert_eq!(net.solves(), 5);
+        let _ = b;
+    }
+
+    #[test]
+    fn a_departure_re_solves_what_it_split_apart() {
+        // s0->c0 and s1->c1 are joined only by s0->c1, which competes with
+        // the first on s0's thin spoke and with the second on c1's.
+        let (topo, pairs) = build(Shape::Star, &[4e6, 2e7, 2e7, 2e7, 2e7, 5e6, 2e7, 2e7]);
+        let mut net = Network::with_uniform_load(topo, LoadModelConfig::default(), MasterSeed(1));
+        let pair = |s: usize, c: usize| pairs[2 * (4 * s + c)];
+        let a = start(&mut net, pair(0, 0));
+        let b = start(&mut net, pair(1, 1));
+        let bridge = start(&mut net, pair(0, 1));
+        net.resolve();
+        assert_eq!((net.solves(), net.flows_solved()), (1, 3));
+        let (rate_a, rate_b) = (net.flow(a).unwrap().rate, net.flow(b).unwrap().rate);
+        net.abort_flow(bridge, SimTime::ZERO).unwrap();
+        net.resolve();
+        assert_eq!((net.solves(), net.flows_solved()), (3, 5));
+        assert!(net.flow(a).unwrap().rate > rate_a);
+        assert!(net.flow(b).unwrap().rate > rate_b);
     }
 }
