@@ -4,7 +4,7 @@
 //! to document how far inside that budget a modern implementation sits.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use wanpred_logfmt::{decode, encode, sample_record, TransferLog};
+use wanpred_logfmt::{decode_borrowed, encode, sample_record, DecodeScratch, TransferLog};
 
 fn bench_logging(c: &mut Criterion) {
     let record = sample_record();
@@ -12,8 +12,14 @@ fn bench_logging(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(encode(&record)))
     });
     let line = encode(&record);
+    // The decoder production runs, with the per-document scratch reused
+    // across lines as `TransferLog::from_ulm_str` and `salvage` do.
+    let mut scratch = DecodeScratch::new();
     c.bench_function("ulm_decode", |b| {
-        b.iter(|| std::hint::black_box(decode(&line).expect("valid line")))
+        b.iter(|| {
+            let r = decode_borrowed(&line, &mut scratch).expect("valid line");
+            std::hint::black_box(&r);
+        })
     });
     c.bench_function("log_append_one_record", |b| {
         b.iter_batched(

@@ -3,7 +3,6 @@
 //! prediction over realistic history lengths for each estimator family.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wanpred_obs::ObsSink;
 use wanpred_predict::prelude::*;
 
 fn history(n: usize) -> Vec<Observation> {
@@ -46,37 +45,5 @@ fn bench_predictors(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_full_replay(c: &mut Criterion) {
-    // Cost of the entire evaluation pipeline over a paper-sized log:
-    // the naive per-target recomputation vs the incremental engine
-    // (rolling state, one pass). Both produce identical reports.
-    let h = history(420);
-    let suite = full_suite();
-    let mut group = c.benchmark_group("replay_30_predictors_420_transfers");
-    group.bench_function("naive", |b| {
-        b.iter(|| {
-            std::hint::black_box(Evaluation::replay(
-                &h,
-                &suite,
-                EvalEngine::Naive,
-                EvalOptions::default(),
-                &ObsSink::disabled(),
-            ))
-        })
-    });
-    group.bench_function("incremental", |b| {
-        b.iter(|| {
-            std::hint::black_box(Evaluation::replay(
-                &h,
-                &suite,
-                EvalEngine::Incremental,
-                EvalOptions::default(),
-                &ObsSink::disabled(),
-            ))
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_predictors, bench_full_replay);
+criterion_group!(benches, bench_predictors);
 criterion_main!(benches);

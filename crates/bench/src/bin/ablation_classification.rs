@@ -67,7 +67,6 @@ fn main() {
             let reports = Evaluation::replay(
                 &obs,
                 &[plain, classed],
-                EvalEngine::Naive,
                 EvalOptions::default(),
                 &ObsSink::disabled(),
             );

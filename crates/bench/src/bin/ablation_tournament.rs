@@ -67,7 +67,6 @@ fn main() {
         let reports = Evaluation::replay(
             &series,
             &full_suite(),
-            EvalEngine::Incremental,
             EvalOptions::default(),
             &ObsSink::disabled(),
         );

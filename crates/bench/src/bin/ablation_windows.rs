@@ -39,13 +39,8 @@ fn main() {
 
     for pair in Pair::ALL {
         let obs = observation_series(&result, pair);
-        let reports = Evaluation::replay(
-            &obs,
-            &suite,
-            EvalEngine::Naive,
-            EvalOptions::default(),
-            &ObsSink::disabled(),
-        );
+        let reports =
+            Evaluation::replay(&obs, &suite, EvalOptions::default(), &ObsSink::disabled());
         let mut table = Table::new(format!("window ablation, {}, classified", pair.label()))
             .headers(["predictor", "MAPE %", "answered", "declined"]);
         for r in &reports {

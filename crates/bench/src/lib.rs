@@ -23,7 +23,7 @@
 //! | `ablation_faults` | predictor accuracy on clean vs faulty logs |
 //! | `ablation_salvage` | salvaged-log accuracy across corruption rates |
 //! | `ablation_tournament` | online tournament vs best fixed predictor |
-//! | `ablation_coalloc` | co-allocated top-k retrieval vs single-best under faults/chaos |
+//! | `ablation_coalloc` | co-allocated top-k retrieval vs single-best, clean and faulty networks |
 //! | `ablation_serving` | sharded serving layer vs locked directory under open-loop load |
 //!
 //! Run any of them with

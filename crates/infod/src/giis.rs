@@ -22,38 +22,7 @@ use parking_lot::Mutex;
 use wanpred_obs::{names, ObsSink};
 
 use crate::error::InquiryError;
-use crate::filter::Filter;
-use crate::gris::{Gris, STALENESS_ATTR};
-use crate::ldif::Entry;
 use crate::service::{InquiryRequest, InquiryResponse, InquiryService, Provenance, ServedBy};
-
-/// Anything that can answer a filtered inquiry at a point in time: a
-/// GRIS, or another GIIS — MDS-2 indexes form hierarchies (Figure 5), so
-/// a site GIIS can register into an organizational one.
-///
-/// New code should register an [`InquiryService`] handle instead (via
-/// [`Giis::register_service`]); this trait remains for callers that still
-/// hold `Arc<Mutex<dyn Directory>>` handles.
-pub trait Directory: Send {
-    /// Entries matching the filter at `now_unix`.
-    fn search_dir(&mut self, filter: &Filter, now_unix: u64) -> Vec<Entry>;
-}
-
-impl Directory for Gris {
-    fn search_dir(&mut self, filter: &Filter, now_unix: u64) -> Vec<Entry> {
-        self.inquire(&InquiryRequest::new(filter.clone(), now_unix))
-            .map(|r| r.entries)
-            .unwrap_or_default()
-    }
-}
-
-impl Directory for Giis {
-    fn search_dir(&mut self, filter: &Filter, now_unix: u64) -> Vec<Entry> {
-        self.inquire(&InquiryRequest::new(filter.clone(), now_unix))
-            .map(|r| r.entries)
-            .unwrap_or_default()
-    }
-}
 
 /// Per-registrant retry backoff for the soft-state registration
 /// protocol: when a GIIS is unreachable (or rejects a registration), the
@@ -161,41 +130,10 @@ pub enum RegisterOutcome {
     Renewed,
 }
 
-/// A registrant's inquiry handle: the modern lock-free service surface,
-/// or a legacy mutex-wrapped [`Directory`].
-#[derive(Clone)]
-enum Handle {
-    Service(Arc<dyn InquiryService>),
-    Legacy(Arc<Mutex<dyn Directory>>),
-}
-
-impl Handle {
-    /// Query the child; returns `(entries, max staleness stamp)`.
-    /// Legacy directories report no structured staleness, so it is
-    /// recovered from the entries' [`STALENESS_ATTR`] stamps.
-    fn query(&self, req: &InquiryRequest) -> (Vec<Entry>, u64) {
-        match self {
-            Handle::Service(svc) => match svc.inquire(req) {
-                Ok(resp) => (resp.entries, resp.staleness_secs),
-                // A failing child contributes nothing; the merge is
-                // best-effort, like MDS answering from reachable sites.
-                Err(_) => (Vec::new(), 0),
-            },
-            Handle::Legacy(dir) => {
-                let entries = dir.lock().search_dir(&req.filter, req.now_unix);
-                let staleness = entries
-                    .iter()
-                    .filter_map(|e| e.get(STALENESS_ATTR).and_then(|v| v.parse().ok()))
-                    .max()
-                    .unwrap_or(0);
-                (entries, staleness)
-            }
-        }
-    }
-}
-
 struct Registrant {
-    handle: Handle,
+    /// Queried directly, with no wrapping mutex: concurrent inquiries at
+    /// the index fan out to children without serializing on them.
+    service: Arc<dyn InquiryService>,
     ttl_secs: u64,
     last_seen: u64,
 }
@@ -269,29 +207,10 @@ impl Giis {
     /// per-registrant schedule advances and `Err(delay_secs)` tells the
     /// registrant how long to wait before retrying (exponential, capped,
     /// deterministically jittered — see [`RegistrationBackoff`]).
-    pub fn try_register(
-        &self,
-        msg: Registration,
-        dir: Arc<Mutex<dyn Directory>>,
-        now_unix: u64,
-    ) -> Result<RegisterOutcome, u64> {
-        self.try_admit(msg, Handle::Legacy(dir), now_unix)
-    }
-
-    /// [`Giis::try_register`] for the modern service surface.
     pub fn try_register_service(
         &self,
         msg: Registration,
         svc: Arc<dyn InquiryService>,
-        now_unix: u64,
-    ) -> Result<RegisterOutcome, u64> {
-        self.try_admit(msg, Handle::Service(svc), now_unix)
-    }
-
-    fn try_admit(
-        &self,
-        msg: Registration,
-        handle: Handle,
         now_unix: u64,
     ) -> Result<RegisterOutcome, u64> {
         let id = msg.id.clone();
@@ -304,34 +223,13 @@ impl Giis {
         if let Some(b) = st.backoffs.get_mut(&id) {
             b.on_success();
         }
-        Ok(self.admit(&mut st, msg, handle, now_unix))
+        Ok(self.admit(&mut st, msg, svc, now_unix))
     }
 
-    /// Process a registration (initial or renewal) from a GRIS.
-    pub fn register(
-        &self,
-        msg: Registration,
-        gris: Arc<Mutex<Gris>>,
-        now_unix: u64,
-    ) -> RegisterOutcome {
-        self.register_directory(msg, gris, now_unix)
-    }
-
-    /// Register any directory — a GRIS or a child GIIS (hierarchical
-    /// indexes, Figure 5) — through the legacy mutex-wrapped surface.
-    pub fn register_directory(
-        &self,
-        msg: Registration,
-        dir: Arc<Mutex<dyn Directory>>,
-        now_unix: u64,
-    ) -> RegisterOutcome {
-        let mut st = self.state.lock();
-        self.admit(&mut st, msg, Handle::Legacy(dir), now_unix)
-    }
-
-    /// Register an [`InquiryService`] — the modern surface: the handle is
-    /// queried directly, with no wrapping mutex, so concurrent inquiries
-    /// at the index fan out to children without serializing on them.
+    /// Process a registration (initial or renewal) from any
+    /// [`InquiryService`] — a GRIS, or a child GIIS: MDS-2 indexes form
+    /// hierarchies (Figure 5), so a site GIIS can register into an
+    /// organizational one.
     pub fn register_service(
         &self,
         msg: Registration,
@@ -339,14 +237,14 @@ impl Giis {
         now_unix: u64,
     ) -> RegisterOutcome {
         let mut st = self.state.lock();
-        self.admit(&mut st, msg, Handle::Service(svc), now_unix)
+        self.admit(&mut st, msg, svc, now_unix)
     }
 
     fn admit(
         &self,
         st: &mut GiisState,
         msg: Registration,
-        handle: Handle,
+        service: Arc<dyn InquiryService>,
         now_unix: u64,
     ) -> RegisterOutcome {
         let outcome = if st.registrants.contains_key(&msg.id) {
@@ -359,7 +257,7 @@ impl Giis {
         st.registrants.insert(
             msg.id,
             Registrant {
-                handle,
+                service,
                 ttl_secs: msg.ttl_secs,
                 last_seen: now_unix,
             },
@@ -399,15 +297,6 @@ impl Giis {
         self.expire(now_unix);
         self.state.lock().registrants.keys().cloned().collect()
     }
-
-    /// Answer an inquiry: merge matching entries from every live
-    /// registrant (expiring stale ones first).
-    #[deprecated(note = "use `InquiryService::inquire`; search() is the pre-service surface")]
-    pub fn search(&self, filter: &Filter, now_unix: u64) -> Vec<Entry> {
-        self.inquire(&InquiryRequest::new(filter.clone(), now_unix))
-            .map(|r| r.entries)
-            .unwrap_or_default()
-    }
 }
 
 impl InquiryService for Giis {
@@ -417,19 +306,22 @@ impl InquiryService for Giis {
         // Clone the handles out of the table lock: children are queried
         // without holding it, so a slow registrant cannot block the
         // index's registration path or other inquiries.
-        let handles: Vec<Handle> = self
+        let children: Vec<Arc<dyn InquiryService>> = self
             .state
             .lock()
             .registrants
             .values()
-            .map(|r| r.handle.clone())
+            .map(|r| Arc::clone(&r.service))
             .collect();
         let mut entries = Vec::new();
         let mut max_staleness = 0u64;
-        for h in &handles {
-            let (child_entries, staleness) = h.query(req);
-            max_staleness = max_staleness.max(staleness);
-            entries.extend(child_entries);
+        for child in &children {
+            // A failing child contributes nothing; the merge is
+            // best-effort, like MDS answering from reachable sites.
+            if let Ok(resp) = child.inquire(req) {
+                max_staleness = max_staleness.max(resp.staleness_secs);
+                entries.extend(resp.entries);
+            }
         }
         Ok(InquiryResponse::new(
             entries,
@@ -442,9 +334,9 @@ impl InquiryService for Giis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter;
-    use crate::gris::{InfoProvider, ProviderError};
-    use crate::ldif::Dn;
+    use crate::filter::{self, Filter};
+    use crate::gris::{Gris, InfoProvider, ProviderError, STALENESS_ATTR};
+    use crate::ldif::{Dn, Entry};
 
     fn search(giis: &Giis, f: &Filter, now: u64) -> Vec<Entry> {
         giis.inquire(&InquiryRequest::new(f.clone(), now))
@@ -467,27 +359,89 @@ mod tests {
         }
     }
 
-    fn gris_with(tag: &'static str) -> Arc<Mutex<Gris>> {
-        let mut g = Gris::new(Dn::parse("o=grid").unwrap());
-        g.register_provider(Box::new(Fixed { tag }));
-        Arc::new(Mutex::new(g))
-    }
-
     fn gris_service(tag: &'static str) -> Arc<dyn InquiryService> {
         let mut g = Gris::new(Dn::parse("o=grid").unwrap());
         g.register_provider(Box::new(Fixed { tag }));
         Arc::new(g)
     }
 
+    /// Answers its first refresh, fails every later one: its GRIS then
+    /// serves the last-known-good entry with a growing staleness stamp.
+    struct DiesAfterFirst {
+        served: bool,
+    }
+
+    impl InfoProvider for DiesAfterFirst {
+        fn name(&self) -> &str {
+            "dies"
+        }
+        fn provide(&mut self, _now: u64) -> Result<Vec<Entry>, ProviderError> {
+            if std::mem::replace(&mut self.served, true) {
+                return Err(ProviderError::new("log unreadable"));
+            }
+            Fixed { tag: "degraded" }.provide(0)
+        }
+        fn ttl_secs(&self) -> u64 {
+            10
+        }
+    }
+
+    struct Failing;
+
+    impl InquiryService for Failing {
+        fn inquire(&self, _req: &InquiryRequest) -> Result<InquiryResponse, InquiryError> {
+            Err(InquiryError::Overloaded {
+                queued: 1,
+                limit: 0,
+            })
+        }
+    }
+
+    fn reg(id: &str) -> Registration {
+        Registration {
+            id: id.into(),
+            ttl_secs: 600,
+        }
+    }
+
+    /// An index over a healthy GRIS, a GRIS whose provider dies after the
+    /// refresh at t = 0, and a child that fails every inquiry.
+    fn index_with_a_degraded_child() -> Giis {
+        let mut degraded = Gris::new(Dn::parse("o=grid").unwrap());
+        degraded.register_provider(Box::new(DiesAfterFirst { served: false }));
+        let giis = Giis::new("site");
+        giis.register_service(reg("fresh"), gris_service("lbl"), 0);
+        giis.register_service(reg("degraded"), Arc::new(degraded), 0);
+        giis.register_service(reg("dead"), Arc::new(Failing), 0);
+        giis
+    }
+
+    /// The index reports the degraded child's age, the degraded entry
+    /// carries the stamp, the healthy one does not.
+    fn assert_reports_child_staleness(index: &Giis) {
+        let req = |now| InquiryRequest::parse("(site=*)", now).unwrap();
+        let primed = index.inquire(&req(0)).unwrap();
+        assert_eq!(primed.staleness_secs, 0);
+        assert_eq!(primed.entries.len(), 2);
+        let resp = index.inquire(&req(25)).unwrap();
+        assert_eq!(resp.staleness_secs, 25);
+        let stamp = |site: &str| {
+            let e = resp.entries.iter().find(|e| e.get("site") == Some(site));
+            e.unwrap().get(STALENESS_ATTR).map(str::to_string)
+        };
+        assert_eq!(stamp("degraded"), Some("25".to_string()));
+        assert_eq!(stamp("lbl"), None);
+    }
+
     #[test]
     fn register_and_search_aggregates() {
         let giis = Giis::new("top");
-        giis.register(
+        giis.register_service(
             Registration {
                 id: "lbl".into(),
                 ttl_secs: 300,
             },
-            gris_with("lbl"),
+            gris_service("lbl"),
             0,
         );
         giis.register_service(
@@ -505,30 +459,14 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_search_shim_matches_inquire() {
-        #![allow(deprecated)]
-        let giis = Giis::new("top");
-        giis.register(
-            Registration {
-                id: "lbl".into(),
-                ttl_secs: 300,
-            },
-            gris_with("lbl"),
-            0,
-        );
-        let f = filter::parse("(site=lbl)").unwrap();
-        assert_eq!(giis.search(&f, 10), search(&giis, &f, 10));
-    }
-
-    #[test]
     fn soft_state_expiry() {
         let giis = Giis::new("top");
-        giis.register(
+        giis.register_service(
             Registration {
                 id: "lbl".into(),
                 ttl_secs: 60,
             },
-            gris_with("lbl"),
+            gris_service("lbl"),
             0,
         );
         // Alive just inside the ttl.
@@ -542,12 +480,12 @@ mod tests {
     #[test]
     fn renewal_extends_lifetime() {
         let giis = Giis::new("top");
-        giis.register(
+        giis.register_service(
             Registration {
                 id: "lbl".into(),
                 ttl_secs: 60,
             },
-            gris_with("lbl"),
+            gris_service("lbl"),
             0,
         );
         assert!(giis.renew("lbl", 50));
@@ -555,12 +493,12 @@ mod tests {
         // After expiry, renew fails and full re-registration is needed.
         assert_eq!(giis.live_registrants(200).len(), 0);
         assert!(!giis.renew("lbl", 201));
-        let outcome = giis.register(
+        let outcome = giis.register_service(
             Registration {
                 id: "lbl".into(),
                 ttl_secs: 60,
             },
-            gris_with("lbl"),
+            gris_service("lbl"),
             202,
         );
         assert_eq!(outcome, RegisterOutcome::New);
@@ -569,8 +507,8 @@ mod tests {
     #[test]
     fn reregistration_is_renewal_when_live() {
         let giis = Giis::new("top");
-        let g = gris_with("lbl");
-        giis.register(
+        let g = gris_service("lbl");
+        giis.register_service(
             Registration {
                 id: "lbl".into(),
                 ttl_secs: 60,
@@ -578,7 +516,7 @@ mod tests {
             g.clone(),
             0,
         );
-        let outcome = giis.register(
+        let outcome = giis.register_service(
             Registration {
                 id: "lbl".into(),
                 ttl_secs: 60,
@@ -595,21 +533,21 @@ mod tests {
         // indexes both site GIISes (Figure 5's tree). The child indexes
         // register as services — no wrapping mutex.
         let lbl_giis = Giis::new("lbl-site");
-        lbl_giis.register(
+        lbl_giis.register_service(
             Registration {
                 id: "lbl-gris".into(),
                 ttl_secs: 600,
             },
-            gris_with("lbl"),
+            gris_service("lbl"),
             0,
         );
         let isi_giis = Giis::new("isi-site");
-        isi_giis.register(
+        isi_giis.register_service(
             Registration {
                 id: "isi-gris".into(),
                 ttl_secs: 600,
             },
-            gris_with("isi"),
+            gris_service("isi"),
             0,
         );
         let org = Giis::new("org");
@@ -646,8 +584,12 @@ mod tests {
             id: "lbl".into(),
             ttl_secs: 300,
         };
-        let d1 = giis.try_register(reg(), gris_with("lbl"), 0).unwrap_err();
-        let d2 = giis.try_register(reg(), gris_with("lbl"), 10).unwrap_err();
+        let d1 = giis
+            .try_register_service(reg(), gris_service("lbl"), 0)
+            .unwrap_err();
+        let d2 = giis
+            .try_register_service(reg(), gris_service("lbl"), 10)
+            .unwrap_err();
         let d3 = giis
             .try_register_service(reg(), gris_service("lbl"), 20)
             .unwrap_err();
@@ -660,17 +602,19 @@ mod tests {
         let replay = Giis::new("top");
         replay.set_available(false);
         assert_eq!(
-            replay.try_register(reg(), gris_with("lbl"), 0).unwrap_err(),
+            replay
+                .try_register_service(reg(), gris_service("lbl"), 0)
+                .unwrap_err(),
             d1
         );
         // Distinct registrants get decorrelated jitter.
         let other = giis
-            .try_register(
+            .try_register_service(
                 Registration {
                     id: "isi".into(),
                     ttl_secs: 300,
                 },
-                gris_with("isi"),
+                gris_service("isi"),
                 0,
             )
             .unwrap_err();
@@ -698,9 +642,12 @@ mod tests {
             id: "lbl".into(),
             ttl_secs: 300,
         };
-        giis.try_register(reg(), gris_with("lbl"), 0).unwrap_err();
+        giis.try_register_service(reg(), gris_service("lbl"), 0)
+            .unwrap_err();
         giis.set_available(true);
-        let outcome = giis.try_register(reg(), gris_with("lbl"), 60).unwrap();
+        let outcome = giis
+            .try_register_service(reg(), gris_service("lbl"), 60)
+            .unwrap();
         assert_eq!(outcome, RegisterOutcome::New);
         assert_eq!(giis.backoff_delay("lbl"), 0);
         assert_eq!(giis.live_registrants(100), vec!["lbl".to_string()]);
@@ -710,12 +657,12 @@ mod tests {
     fn expire_reports_count() {
         let giis = Giis::new("top");
         for (i, tag) in ["a", "b", "c"].iter().enumerate() {
-            giis.register(
+            giis.register_service(
                 Registration {
                     id: (*tag).into(),
                     ttl_secs: 10 * (i as u64 + 1),
                 },
-                gris_with("lbl"),
+                gris_service("lbl"),
                 0,
             );
         }
@@ -726,15 +673,6 @@ mod tests {
 
     #[test]
     fn failing_service_child_degrades_to_best_effort_merge() {
-        struct Failing;
-        impl InquiryService for Failing {
-            fn inquire(&self, _req: &InquiryRequest) -> Result<InquiryResponse, InquiryError> {
-                Err(InquiryError::Overloaded {
-                    queued: 1,
-                    limit: 0,
-                })
-            }
-        }
         let giis = Giis::new("top");
         giis.register_service(
             Registration {
@@ -755,5 +693,28 @@ mod tests {
         // The index still answers from the reachable child.
         let all = search(&giis, &filter::parse("(site=*)").unwrap(), 10);
         assert_eq!(all.len(), 1);
+    }
+
+    #[test]
+    fn inquire_reports_the_stalest_childs_age() {
+        assert_reports_child_staleness(&index_with_a_degraded_child());
+    }
+
+    #[test]
+    fn staleness_propagates_through_a_two_level_hierarchy() {
+        let org = Giis::new("org");
+        org.register_service(reg("site"), Arc::new(index_with_a_degraded_child()), 0);
+        assert_reports_child_staleness(&org);
+    }
+
+    #[test]
+    fn failing_child_contributes_zero_staleness() {
+        let giis = Giis::new("top");
+        giis.register_service(reg("dead"), Arc::new(Failing), 0);
+        giis.register_service(reg("fresh"), gris_service("lbl"), 0);
+        let resp = giis
+            .inquire(&InquiryRequest::parse("(site=*)", 25).unwrap())
+            .unwrap();
+        assert_eq!((resp.entries.len(), resp.staleness_secs), (1, 0));
     }
 }

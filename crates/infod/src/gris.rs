@@ -30,7 +30,6 @@ use parking_lot::Mutex;
 use wanpred_obs::{names, ObsSink};
 
 use crate::error::InquiryError;
-use crate::filter::Filter;
 use crate::ldif::{Dn, Entry};
 use crate::service::{InquiryRequest, InquiryResponse, InquiryService, Provenance, ServedBy};
 
@@ -311,26 +310,6 @@ impl Gris {
         }
         out
     }
-
-    /// All current entries, refreshing stale caches. A provider whose
-    /// refresh fails keeps serving its last-known-good entries, each
-    /// stamped with [`STALENESS_ATTR`].
-    #[deprecated(note = "use `InquiryService::inquire`; entries() is the pre-service surface")]
-    pub fn entries(&self, now_unix: u64) -> Vec<Entry> {
-        self.materialize(now_unix)
-            .entries
-            .iter()
-            .map(|me| me.stamped(now_unix).0)
-            .collect()
-    }
-
-    /// Search: refresh stale providers, apply the filter.
-    #[deprecated(note = "use `InquiryService::inquire`; search() is the pre-service surface")]
-    pub fn search(&self, filter: &Filter, now_unix: u64) -> Vec<Entry> {
-        self.inquire(&InquiryRequest::new(filter.clone(), now_unix))
-            .map(|r| r.entries)
-            .unwrap_or_default()
-    }
 }
 
 impl SnapshotSource for Gris {
@@ -362,7 +341,7 @@ impl InquiryService for Gris {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter;
+    use crate::filter::{self, Filter};
 
     fn search(g: &Gris, f: &Filter, now: u64) -> Vec<Entry> {
         g.inquire(&InquiryRequest::new(f.clone(), now))
@@ -454,20 +433,6 @@ mod tests {
         assert_eq!(search(&g, &f, 0).len(), 1);
         let f = filter::parse("(calls=99)").unwrap();
         assert_eq!(search(&g, &f, 1).len(), 0);
-    }
-
-    #[test]
-    fn deprecated_shims_still_answer() {
-        // The old `&mut self`-era surface is a thin veneer over the
-        // service path; its results must agree with inquire().
-        #![allow(deprecated)]
-        let mut g = Gris::new(Dn::parse("o=grid").unwrap());
-        g.register_provider(Box::new(Counter { calls: 0, ttl: 30 }));
-        let via_shim = g.entries(100);
-        assert_eq!(via_shim.len(), 1);
-        assert_eq!(via_shim[0].get("calls"), Some("1"));
-        let f = filter::parse("(calls=1)").unwrap();
-        assert_eq!(g.search(&f, 110), search(&g, &f, 110));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod service;
 
 pub use error::{Error, InquiryError};
 pub use filter::{parse as parse_filter, Filter, FilterError};
-pub use giis::{Directory, Giis, RegisterOutcome, Registration, RegistrationBackoff};
+pub use giis::{Giis, RegisterOutcome, Registration, RegistrationBackoff};
 pub use gris::{
     Gris, InfoProvider, Materialized, MaterializedEntry, ProviderError, SnapshotSource,
     STALENESS_ATTR,

@@ -1,7 +1,7 @@
 //! Per-record integrity trailers: a CRC-32 (IEEE) over the ULM line,
 //! appended as a final `CRC=xxxxxxxx` token.
 //!
-//! The trailer is backward compatible in both directions: [`crate::ulm::decode`]
+//! The trailer is backward compatible in both directions: [`crate::ulm::decode_borrowed`]
 //! ignores unknown keywords, so checksummed lines load in old readers, and
 //! a reader that understands trailers treats their absence as a legacy
 //! line rather than an error. What the trailer buys is *detection*: a torn

@@ -19,7 +19,7 @@
 //! [`ulm::tokenize_bytes`] + [`ulm::decode_borrowed`] produce records
 //! without per-line allocation, and [`columns::TransferColumns`] stores
 //! a whole log column-wise over a shared string arena. The original
-//! allocating [`ulm::decode`] is retained as the differential oracle.
+//! allocating decoder survives only as the differential tests' oracle.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -30,6 +30,8 @@ pub mod integrity;
 pub mod log;
 pub mod record;
 pub mod salvage;
+#[doc(hidden)]
+pub mod testing;
 pub mod trim;
 pub mod ulm;
 pub mod writer;
@@ -46,7 +48,7 @@ pub use crate::salvage::{
 };
 pub use crate::trim::{TrimOutcome, TrimPolicy};
 pub use crate::ulm::{
-    decode, decode_borrowed, encode, tokenize_bytes, DecodeScratch, RawToken, RawValue,
-    TransferRecordRef, UlmError, UlmKey,
+    decode_borrowed, encode, tokenize_bytes, DecodeScratch, RawToken, RawValue, TransferRecordRef,
+    UlmError,
 };
 pub use crate::writer::{atomic_write, RotatingLogWriter, RotationConfig};

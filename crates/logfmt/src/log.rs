@@ -202,8 +202,7 @@ impl TransferLog {
     ///
     /// Decoding goes through the zero-copy borrowed path
     /// ([`ulm::decode_borrowed`]); only the surviving record fields are
-    /// materialised. The allocating [`ulm::decode`] stays available as
-    /// the differential oracle.
+    /// materialised.
     pub fn from_ulm_str(doc: &str) -> Result<Self, LogError> {
         let mut log = TransferLog::new();
         let mut scratch = ulm::DecodeScratch::new();

@@ -8,24 +8,21 @@
 //! is well under the paper's 512-byte bound — asserted in tests and in
 //! the logging-overhead benchmark.
 //!
-//! Two decode paths exist (DESIGN.md § "Parse hot path"):
+//! There is one decoder (DESIGN.md § "Parse hot path"):
+//! [`decode_borrowed`], zero-copy. [`tokenize_bytes`] yields borrowed
+//! key/value slices, keys are interned to a dense slot index, and escape
+//! expansion (rare) goes through a caller-owned [`DecodeScratch`] arena.
+//! The result, [`TransferRecordRef`], borrows from the line and the
+//! scratch; [`TransferRecordRef::to_owned`] materialises a
+//! [`TransferRecord`] when ownership is needed.
 //!
-//! * [`decode`] — the original allocating path (`tokenize` into owned
-//!   pairs, then field lookup). It is the **differential oracle**: slow,
-//!   obviously correct, and property-tested against the fast path on
-//!   every line shape.
-//! * [`decode_borrowed`] — the zero-copy hot path: [`tokenize_bytes`]
-//!   yields borrowed key/value slices, keys are interned to [`UlmKey`],
-//!   and escape expansion (rare) goes through a caller-owned
-//!   [`DecodeScratch`] arena. The result, [`TransferRecordRef`], borrows
-//!   from the line and the scratch; [`TransferRecordRef::to_owned`]
-//!   materialises a [`TransferRecord`] when ownership is needed.
-//!
-//! Both paths implement the same canonical error-evaluation order, so
-//! they agree on *which* error a malformed line produces: tokenizer
-//! error first (leftmost), then duplicate keys (leftmost second
-//! occurrence), then a present-but-corrupt `BW_KBS`, then `OP`, then the
-//! remaining fields in record-declaration order.
+//! The original allocating tokenizer and decoder survive only as the
+//! differential tests' oracle (`crate::testing`). Decoder and oracle
+//! implement the same canonical error-evaluation order, so they agree on
+//! *which* error a malformed line produces: tokenizer error first
+//! (leftmost), then duplicate keys (leftmost second occurrence), then a
+//! present-but-corrupt `BW_KBS`, then `OP`, then the remaining fields in
+//! record-declaration order.
 
 use std::fmt::Write as _;
 
@@ -90,7 +87,7 @@ impl std::error::Error for UlmError {}
 /// table once and then works with array slots instead of string
 /// comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UlmKey {
+enum UlmKey {
     /// `SRC`
     Src = 0,
     /// `HOST`
@@ -119,13 +116,12 @@ pub enum UlmKey {
 
 impl UlmKey {
     /// Number of interned keywords (slot-array size).
-    pub const COUNT: usize = 12;
+    const COUNT: usize = 12;
 
     /// Intern a raw key. Returns `None` for unknown keywords (foreign
-    /// keys such as the `CRC` integrity trailer are tolerated by decode,
-    /// exactly like the allocating oracle).
+    /// keys such as the `CRC` integrity trailer are tolerated by decode).
     #[inline]
-    pub fn intern(key: &str) -> Option<UlmKey> {
+    fn intern(key: &str) -> Option<UlmKey> {
         Some(match key.as_bytes() {
             b"SRC" => UlmKey::Src,
             b"HOST" => UlmKey::Host,
@@ -141,24 +137,6 @@ impl UlmKey {
             b"BUF" => UlmKey::Buf,
             _ => return None,
         })
-    }
-
-    /// The keyword's canonical spelling (the `keys` constant).
-    pub const fn name(self) -> &'static str {
-        match self {
-            UlmKey::Src => keys::SRC,
-            UlmKey::Host => keys::HOST,
-            UlmKey::File => keys::FILE,
-            UlmKey::Size => keys::SIZE,
-            UlmKey::Vol => keys::VOL,
-            UlmKey::Start => keys::START,
-            UlmKey::End => keys::END,
-            UlmKey::Secs => keys::SECS,
-            UlmKey::Bw => keys::BW,
-            UlmKey::Op => keys::OP,
-            UlmKey::Streams => keys::STREAMS,
-            UlmKey::Buf => keys::BUF,
-        }
     }
 }
 
@@ -195,7 +173,7 @@ fn encode_value(out: &mut String, v: &str) {
 /// Unknown escapes decode to the escaped character itself (so legacy
 /// `\x` sequences keep their old meaning).
 #[inline]
-fn unescape_char(c: char) -> char {
+pub(crate) fn unescape_char(c: char) -> char {
     match c {
         'n' => '\n',
         'r' => '\r',
@@ -243,70 +221,6 @@ pub fn encode(r: &TransferRecord) -> String {
         let _ = write!(o, "{}", r.tcp_buffer);
     });
     s
-}
-
-/// Split a ULM line into `(key, value)` pairs, handling quoting.
-///
-/// This is the allocating reference path, kept as the differential
-/// oracle for [`tokenize_bytes`]; production decoding goes through the
-/// borrowed tokenizer.
-pub fn tokenize(line: &str) -> Result<Vec<(String, String)>, UlmError> {
-    let mut out = Vec::new();
-    let mut chars = line.chars().peekable();
-    loop {
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-        if chars.peek().is_none() {
-            break;
-        }
-        let mut key = String::new();
-        let mut saw_eq = false;
-        for c in chars.by_ref() {
-            if c == '=' {
-                saw_eq = true;
-                break;
-            }
-            if c.is_whitespace() {
-                break;
-            }
-            key.push(c);
-        }
-        if !saw_eq || key.is_empty() {
-            return Err(UlmError::Malformed(key));
-        }
-        let mut val = String::new();
-        if chars.peek() == Some(&'"') {
-            chars.next();
-            let mut closed = false;
-            while let Some(c) = chars.next() {
-                match c {
-                    '\\' => match chars.next() {
-                        Some(e) => val.push(unescape_char(e)),
-                        None => return Err(UlmError::UnterminatedQuote),
-                    },
-                    '"' => {
-                        closed = true;
-                        break;
-                    }
-                    _ => val.push(c),
-                }
-            }
-            if !closed {
-                return Err(UlmError::UnterminatedQuote);
-            }
-        } else {
-            while let Some(&c) = chars.peek() {
-                if c.is_whitespace() {
-                    break;
-                }
-                val.push(c);
-                chars.next();
-            }
-        }
-        out.push((key, val));
-    }
-    Ok(out)
 }
 
 /// A borrowed value slice from [`tokenize_bytes`]: the raw content
@@ -405,8 +319,9 @@ fn ws_width(s: &str, i: usize) -> Option<usize> {
 /// [`RawToken`]s. Stops after the first error (further `next` calls
 /// return `None`).
 ///
-/// Differentially tested against the allocating [`tokenize`]: both paths
-/// produce the same pairs and the same first error on every input.
+/// Differentially tested against the allocating oracle
+/// (`crate::testing::tokenize`): both produce the same pairs and the same
+/// first error on every input.
 pub fn tokenize_bytes(line: &str) -> TokenIter<'_> {
     TokenIter {
         line,
@@ -705,8 +620,9 @@ fn field_u32(v: Option<RawValue<'_>>, key: &'static str) -> Result<u32, UlmError
 /// escape sequences (then the expansion lands in `scratch`'s arena) or
 /// unknown keywords (tracked for duplicate detection).
 ///
-/// Differentially tested against the allocating oracle [`decode`]: both
-/// paths produce the same record or the same error on every line.
+/// Differentially tested against the allocating oracle
+/// (`crate::testing::decode`): both produce the same record or the same
+/// error on every line.
 pub fn decode_borrowed<'a>(
     line: &'a str,
     scratch: &'a mut DecodeScratch,
@@ -790,80 +706,11 @@ pub fn decode_borrowed<'a>(
     })
 }
 
-/// Parse one ULM line into a [`TransferRecord`].
-///
-/// This is the allocating reference decoder — the differential oracle
-/// for [`decode_borrowed`]. Production loading goes through the borrowed
-/// path; this one stays because it is short enough to audit by eye.
-pub fn decode(line: &str) -> Result<TransferRecord, UlmError> {
-    let pairs = tokenize(line)?;
-    // Duplicate keys are ambiguous: which occurrence is the record? A
-    // deterministic, salvage-quarantinable error beats silently taking
-    // the first.
-    for i in 1..pairs.len() {
-        if pairs[..i].iter().any(|(k, _)| k == &pairs[i].0) {
-            return Err(UlmError::Malformed(format!("duplicate key {}", pairs[i].0)));
-        }
-    }
-    let get = |k: &'static str| -> Result<&str, UlmError> {
-        pairs
-            .iter()
-            .find(|(key, _)| key == k)
-            .map(|(_, v)| v.as_str())
-            .ok_or(UlmError::MissingKey(k))
-    };
-    let parse_u64 = |k: &'static str| -> Result<u64, UlmError> {
-        get(k)?
-            .parse()
-            .map_err(|_| UlmError::BadValue(k, get(k).unwrap_or("").to_string()))
-    };
-    let parse_u32 = |k: &'static str| -> Result<u32, UlmError> {
-        get(k)?
-            .parse()
-            .map_err(|_| UlmError::BadValue(k, get(k).unwrap_or("").to_string()))
-    };
-    let parse_f64 = |k: &'static str| -> Result<f64, UlmError> {
-        get(k)?
-            .parse()
-            .map_err(|_| UlmError::BadValue(k, get(k).unwrap_or("").to_string()))
-    };
-
-    // BW_KBS is derived from SIZE/SECS at encode time and recomputed on
-    // demand after reload, so its value is not stored — but a present,
-    // unparsable or non-finite BW field means the line is corrupt, not
-    // merely stale (chaos-corrupted lines must not pass as `NaN`/`inf`).
-    if let Ok(bw) = get(keys::BW) {
-        let parsed: f64 = bw
-            .parse()
-            .map_err(|_| UlmError::BadValue(keys::BW, bw.to_string()))?;
-        if !parsed.is_finite() {
-            return Err(UlmError::BadValue(keys::BW, bw.to_string()));
-        }
-    }
-
-    let op_str = get(keys::OP)?;
-    let operation =
-        Operation::parse(op_str).ok_or_else(|| UlmError::BadValue(keys::OP, op_str.to_string()))?;
-
-    Ok(TransferRecord {
-        source: get(keys::SRC)?.to_string(),
-        host: get(keys::HOST)?.to_string(),
-        file_name: get(keys::FILE)?.to_string(),
-        file_size: parse_u64(keys::SIZE)?,
-        volume: get(keys::VOL)?.to_string(),
-        start_unix: parse_u64(keys::START)?,
-        end_unix: parse_u64(keys::END)?,
-        total_time_s: parse_f64(keys::SECS)?,
-        streams: parse_u32(keys::STREAMS)?,
-        tcp_buffer: parse_u64(keys::BUF)?,
-        operation,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::sample_record;
+    use crate::testing::{decode, tokenize};
 
     #[test]
     fn encode_decode_roundtrip() {
@@ -1087,7 +934,8 @@ mod tests {
 
     #[test]
     fn interned_keys_cover_the_schema() {
-        for k in [
+        // Every `keys` constant interns, to its own slot, in enum order.
+        let schema = [
             keys::SRC,
             keys::HOST,
             keys::FILE,
@@ -1100,9 +948,10 @@ mod tests {
             keys::OP,
             keys::STREAMS,
             keys::BUF,
-        ] {
-            let interned = UlmKey::intern(k).expect("schema key must intern");
-            assert_eq!(interned.name(), k);
+        ];
+        assert_eq!(schema.len(), UlmKey::COUNT);
+        for (slot, k) in schema.into_iter().enumerate() {
+            assert_eq!(UlmKey::intern(k).map(|key| key as usize), Some(slot), "{k}");
         }
         assert_eq!(UlmKey::intern("CRC"), None);
         assert_eq!(UlmKey::intern(""), None);

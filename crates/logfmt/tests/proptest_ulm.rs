@@ -6,8 +6,9 @@
 //! errors).
 
 use proptest::prelude::*;
-use wanpred_logfmt::ulm::{decode_borrowed, tokenize, tokenize_bytes, DecodeScratch, UlmError};
-use wanpred_logfmt::{decode, encode, Operation, TransferColumns, TransferLog, TransferRecord};
+use wanpred_logfmt::testing::{decode, tokenize};
+use wanpred_logfmt::ulm::{decode_borrowed, tokenize_bytes, DecodeScratch, UlmError};
+use wanpred_logfmt::{encode, Operation, TransferColumns, TransferLog, TransferRecord};
 
 fn arb_string() -> impl Strategy<Value = String> {
     // Printable strings including the characters that force quoting.

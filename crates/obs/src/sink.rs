@@ -5,9 +5,9 @@
 //! `Arc<Mutex<…>>` shared registry. Clones share state: the campaign
 //! hands one enabled sink to the engine, the transfer manager, the
 //! information services, and the broker, and they all write into the
-//! same tree. The enabled-vs-null cost difference is what
-//! `ablation_obs` measures into `BENCH_obs.json` (budget: ≤ 5% of
-//! campaign wall-clock).
+//! same tree. The enabled-vs-null cost difference is what `wanbench`
+//! reports as `obs.enabled_overhead_frac` (budget: ≤ 5% of campaign
+//! wall-clock).
 //!
 //! Determinism: counters and histograms are order-insensitive
 //! (commutative merges), so they may be emitted from rayon workers.

@@ -133,43 +133,6 @@ impl PredictorReport {
     }
 }
 
-/// The naive slice-based replay core: every prediction is derived from
-/// the full history prefix, exactly as §6.2 describes. Entry point for
-/// callers is [`crate::evaluation::Evaluation`] with
-/// [`EvalEngine::Naive`](crate::evaluation::EvalEngine::Naive).
-pub(crate) fn naive_replay(
-    series: &[Observation],
-    predictors: &[NamedPredictor],
-    opts: EvalOptions,
-) -> Vec<PredictorReport> {
-    let mut reports: Vec<PredictorReport> = predictors
-        .iter()
-        .map(|p| PredictorReport {
-            name: p.name().to_string(),
-            outcomes: Vec::new(),
-            declined: 0,
-        })
-        .collect();
-
-    for i in opts.training..series.len() {
-        let target = &series[i];
-        let history = &series[..i];
-        let class = SizeClass::of_bytes(target.file_size);
-        for (p, report) in predictors.iter().zip(&mut reports) {
-            match p.predict(history, target.at_unix, target.file_size) {
-                Some(pred) => report.outcomes.push(PredictionOutcome {
-                    at_unix: target.at_unix,
-                    measured: target.bandwidth_kbs,
-                    predicted: pred,
-                    class,
-                }),
-                None => report.declined += 1,
-            }
-        }
-    }
-    reports
-}
-
 /// Relative best/worst tallies for one predictor (Figures 14–21).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RelativeReport {
@@ -269,21 +232,8 @@ mod tests {
     use crate::last::LastValue;
     use crate::mean::MeanPredictor;
     use crate::registry::{full_suite, paper_suite, NamedPredictor};
+    use crate::testing::slice_replay as evaluate;
     use crate::window::Window;
-
-    fn evaluate(
-        series: &[Observation],
-        predictors: &[NamedPredictor],
-        opts: EvalOptions,
-    ) -> Vec<PredictorReport> {
-        crate::evaluation::Evaluation::replay(
-            series,
-            predictors,
-            crate::evaluation::EvalEngine::Naive,
-            opts,
-            &wanpred_obs::ObsSink::disabled(),
-        )
-    }
 
     fn flat_series(n: usize, bw: f64) -> Vec<Observation> {
         (0..n)

@@ -1,14 +1,13 @@
 //! The unified evaluation front door.
 //!
-//! Historically this crate grew three ways to replay a predictor suite
-//! against a log: a naive slice-based walk (`crate::eval`), a rolling
-//! fast path (`crate::incremental`), and `wanpred_core::evaluate_log`
-//! (log extraction plus the full suite). They differed only in engine
-//! choice and input preparation, so every caller re-assembled the same
-//! plumbing. [`Evaluation`] collapses them: pick a suite, an engine,
-//! options and an optional [`ObsSink`], then [`run`](Evaluation::run)
-//! a series or [`run_log`](Evaluation::run_log) a whole transfer log.
-//! The old free-function entry points have been removed.
+//! Every way of scoring a predictor suite against a history funnels
+//! through [`Evaluation`]: pick a suite, options and an optional
+//! [`ObsSink`], then [`run`](Evaluation::run) a series,
+//! [`run_log`](Evaluation::run_log) a whole transfer log or
+//! [`run_ulm`](Evaluation::run_ulm) a ULM document. There is one replay
+//! engine — the rolling-state walk of [`crate::incremental`]; the
+//! slice-based walk that restates §6.2 literally survives only as the
+//! differential tests' oracle (`crate::testing`).
 //!
 //! ```
 //! use wanpred_predict::prelude::*;
@@ -31,46 +30,29 @@
 use wanpred_logfmt::{LogError, TransferLog};
 use wanpred_obs::{names, ObsSink};
 
-use crate::eval::{naive_replay, EvalOptions, PredictorReport};
+use crate::eval::{EvalOptions, PredictorReport};
 use crate::incremental::incremental_replay;
 use crate::observation::{observations_from_log, observations_from_ulm, sort_by_time, Observation};
 use crate::registry::{full_suite, NamedPredictor};
 
-/// Which replay engine scores the suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalEngine {
-    /// The slice-based reference evaluator: every prediction is derived
-    /// from the full history prefix. Quadratic in the log length but
-    /// trivially auditable against the paper's §6.2 description.
-    Naive,
-    /// The rolling-state engine: per-predictor state carried forward
-    /// through the replay, fanned across threads. Near-linear, and
-    /// equivalent to [`EvalEngine::Naive`] within floating-point
-    /// reassociation (exact for medians and count-window means).
-    #[default]
-    Incremental,
-}
-
-/// A configured predictor evaluation: suite + engine + options + sink.
+/// A configured predictor evaluation: suite + options + sink.
 ///
 /// Build one with [`Evaluation::builder`], then replay it over as many
 /// series or logs as needed — the value is immutable and reusable.
 #[derive(Debug)]
 pub struct Evaluation {
     predictors: Vec<NamedPredictor>,
-    engine: EvalEngine,
     opts: EvalOptions,
     obs: ObsSink,
 }
 
 impl Evaluation {
     /// Start building an evaluation. Defaults: the full 30-variant
-    /// paper suite, the incremental engine, [`EvalOptions::default`]
-    /// (15-value training set), observability disabled.
+    /// paper suite, [`EvalOptions::default`] (15-value training set),
+    /// observability disabled.
     pub fn builder() -> EvaluationBuilder {
         EvaluationBuilder {
             predictors: None,
-            engine: EvalEngine::default(),
             opts: EvalOptions::default(),
             obs: ObsSink::disabled(),
         }
@@ -93,18 +75,13 @@ impl Evaluation {
         self.opts
     }
 
-    /// The configured engine.
-    pub fn engine(&self) -> EvalEngine {
-        self.engine
-    }
-
     /// Replay a time-ordered series through the configured suite.
     ///
     /// The series must be sorted by `at_unix`; use
     /// [`crate::observation::sort_by_time`] if unsure (or
     /// [`run_log`](Evaluation::run_log), which sorts for you).
     pub fn run(&self, series: &[Observation]) -> Vec<PredictorReport> {
-        Self::replay(series, &self.predictors, self.engine, self.opts, &self.obs)
+        Self::replay(series, &self.predictors, self.opts, &self.obs)
     }
 
     /// Extract the observation series from a transfer log, sort it by
@@ -127,8 +104,7 @@ impl Evaluation {
     }
 
     /// The borrowed-suite core every entry point funnels through:
-    /// replay `series` with `engine`, then emit `predict.eval.*`
-    /// metrics to `obs`.
+    /// replay `series`, then emit `predict.eval.*` metrics to `obs`.
     ///
     /// Metrics are emitted sequentially *after* the (possibly
     /// parallel) replay, so same-seed runs produce byte-identical
@@ -136,14 +112,10 @@ impl Evaluation {
     pub fn replay(
         series: &[Observation],
         predictors: &[NamedPredictor],
-        engine: EvalEngine,
         opts: EvalOptions,
         obs: &ObsSink,
     ) -> Vec<PredictorReport> {
-        let reports = match engine {
-            EvalEngine::Naive => naive_replay(series, predictors, opts),
-            EvalEngine::Incremental => incremental_replay(series, predictors, opts),
-        };
+        let reports = incremental_replay(series, predictors, opts);
         if obs.is_enabled() {
             obs.gauge(names::PREDICT_EVAL_PREDICTORS, predictors.len() as f64);
             obs.inc_by(
@@ -170,7 +142,6 @@ impl Evaluation {
 #[derive(Debug)]
 pub struct EvaluationBuilder {
     predictors: Option<Vec<NamedPredictor>>,
-    engine: EvalEngine,
     opts: EvalOptions,
     obs: ObsSink,
 }
@@ -186,12 +157,6 @@ impl EvaluationBuilder {
     /// no suite was set yet).
     pub fn predictor(mut self, p: NamedPredictor) -> Self {
         self.predictors.get_or_insert_with(Vec::new).push(p);
-        self
-    }
-
-    /// Select the replay engine.
-    pub fn engine(mut self, engine: EvalEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -218,7 +183,6 @@ impl EvaluationBuilder {
     pub fn build(self) -> Evaluation {
         Evaluation {
             predictors: self.predictors.unwrap_or_else(full_suite),
-            engine: self.engine,
             opts: self.opts,
             obs: self.obs,
         }
@@ -249,21 +213,15 @@ mod tests {
     fn defaults_are_full_suite_incremental() {
         let eval = Evaluation::builder().build();
         assert_eq!(eval.predictors().len(), 30);
-        assert_eq!(eval.engine(), EvalEngine::Incremental);
         assert_eq!(eval.options().training, 15);
     }
 
     #[test]
     fn engines_agree_on_reports() {
         let s = series(60);
-        let naive = Evaluation::builder()
-            .suite(paper_suite(false))
-            .engine(EvalEngine::Naive)
-            .build()
-            .run(&s);
+        let naive = crate::testing::slice_replay(&s, &paper_suite(false), EvalOptions::default());
         let inc = Evaluation::builder()
             .suite(paper_suite(false))
-            .engine(EvalEngine::Incremental)
             .build()
             .run(&s);
         assert_eq!(naive.len(), inc.len());

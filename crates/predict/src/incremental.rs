@@ -1,11 +1,11 @@
 //! Incremental replay engine: rolling per-predictor state.
 //!
-//! The naive evaluator ([`crate::eval::evaluate`]) re-derives every
-//! prediction from the full history slice — for each target it
-//! re-filters the class history (an `O(history)` copy per classified
-//! predictor), re-sums windows and re-fits regressions, which makes a
-//! full 30-predictor replay quadratic in the log length. This module
-//! carries state *forward* through the replay instead:
+//! Replaying §6.2 literally re-derives every prediction from the full
+//! history slice — for each target it re-filters the class history (an
+//! `O(history)` copy per classified predictor), re-sums windows and
+//! re-fits regressions, which makes a full 30-predictor replay quadratic
+//! in the log length. This module carries state *forward* through the
+//! replay instead:
 //!
 //! * **AVG\*** — a rolling sum/count with count-based (`AVG5/15/25`)
 //!   and time-based (`AVG5hr/15hr/25hr`) eviction. The sum uses a
@@ -25,14 +25,14 @@
 //!   is computed once; classified predictors keep four independent
 //!   per-class states instead of re-filtering the history per call.
 //!
-//! The engine produces reports equivalent to the naive path (the
+//! The engine produces reports equivalent to the slice-based walk (the
 //! differential property test in `tests/` holds them to a 1e-9
-//! relative tolerance; medians and count-window means are exact) and
-//! parallelizes the replay across predictors with rayon. Custom
-//! predictors without a [`PredictorSpec`] transparently fall back to
-//! the slice-based path, so the engine accepts any suite. Select it
-//! with [`EvalEngine::Incremental`](crate::evaluation::EvalEngine) on
-//! [`Evaluation`](crate::evaluation::Evaluation) (it is the default).
+//! relative tolerance against `crate::testing::slice_replay`; medians
+//! and count-window means are exact) and parallelizes the replay across
+//! predictors with rayon. Custom predictors without a [`PredictorSpec`]
+//! transparently fall back to the slice-based path, so the engine
+//! accepts any suite. It is the one engine behind
+//! [`Evaluation`](crate::evaluation::Evaluation).
 
 use std::collections::VecDeque;
 
@@ -579,10 +579,11 @@ fn replay_incremental(
     report
 }
 
-/// Slice-based replay of one predictor — the path for custom
-/// predictors without a [`PredictorSpec`]. Matches the naive
-/// evaluator's per-predictor behaviour exactly.
-fn replay_naive(
+/// Slice-based replay of one predictor, exactly as §6.2 describes:
+/// every prediction is derived from the full history prefix. The path
+/// for custom predictors without a [`PredictorSpec`], and the oracle
+/// `crate::testing::slice_replay` runs over a whole suite.
+pub(crate) fn replay_slices(
     series: &[Observation],
     classes: &[SizeClass],
     p: &NamedPredictor,
@@ -609,11 +610,7 @@ fn replay_naive(
 }
 
 /// Replay `series` through every predictor, carrying rolling state
-/// forward and fanning the predictors out across threads.
-///
-/// The rolling-state replay core behind
-/// [`EvalEngine::Incremental`](crate::evaluation::EvalEngine::Incremental):
-/// classify once, then fan the predictors out across threads.
+/// forward: classify once, then fan the predictors out across threads.
 pub(crate) fn incremental_replay(
     series: &[Observation],
     predictors: &[NamedPredictor],
@@ -628,46 +625,19 @@ pub(crate) fn incremental_replay(
         .par_iter()
         .map(|p| match p.spec() {
             Some(spec) => replay_incremental(series, &classes, p, spec, opts),
-            None => replay_naive(series, &classes, p, opts),
+            None => replay_slices(series, &classes, p, opts),
         })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
+    use super::incremental_replay as evaluate_incremental;
     use super::*;
     use crate::classify::PAPER_MB;
-    use crate::evaluation::{EvalEngine, Evaluation};
     use crate::predictor::testutil::bursty_series;
     use crate::registry::full_suite;
-
-    fn evaluate(
-        series: &[Observation],
-        predictors: &[NamedPredictor],
-        opts: EvalOptions,
-    ) -> Vec<PredictorReport> {
-        Evaluation::replay(
-            series,
-            predictors,
-            EvalEngine::Naive,
-            opts,
-            &wanpred_obs::ObsSink::disabled(),
-        )
-    }
-
-    fn evaluate_incremental(
-        series: &[Observation],
-        predictors: &[NamedPredictor],
-        opts: EvalOptions,
-    ) -> Vec<PredictorReport> {
-        Evaluation::replay(
-            series,
-            predictors,
-            EvalEngine::Incremental,
-            opts,
-            &wanpred_obs::ObsSink::disabled(),
-        )
-    }
+    use crate::testing::slice_replay as evaluate;
 
     fn assert_reports_match(naive: &[PredictorReport], inc: &[PredictorReport]) {
         assert_eq!(naive.len(), inc.len());

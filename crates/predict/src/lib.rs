@@ -14,12 +14,11 @@
 //! * [`eval`] — replay evaluation: absolute percentage error per size
 //!   class (Figures 8–13) and relative best/worst tallies (Figures
 //!   14–21).
-//! * [`incremental`] — the incremental replay engine: per-predictor
-//!   rolling state (running sums, order statistics, OLS accumulators)
-//!   replacing the naive evaluator's per-target recomputation.
+//! * [`incremental`] — the replay engine: per-predictor rolling state
+//!   (running sums, order statistics, OLS accumulators) instead of a
+//!   per-target recomputation from the history slice.
 //! * [`evaluation`] — the unified front door: [`Evaluation::builder`]
-//!   selects suite, engine (naive or incremental), options and an
-//!   observability sink.
+//!   selects suite, options and an observability sink.
 //! * [`regression`] — covariate regression (file size, stream count,
 //!   buffer size, time of day), the follow-up paper's technique.
 //! * [`selection`] — NWS-style dynamic predictor selection (the paper's
@@ -66,6 +65,8 @@ pub mod regression;
 pub mod seasonal;
 pub mod selection;
 pub mod stats;
+#[doc(hidden)]
+pub mod testing;
 pub mod tournament;
 pub mod window;
 
@@ -76,7 +77,7 @@ pub mod prelude {
     pub use crate::eval::{
         relative_performance, EvalOptions, PredictionOutcome, PredictorReport, RelativeReport,
     };
-    pub use crate::evaluation::{EvalEngine, Evaluation, EvaluationBuilder};
+    pub use crate::evaluation::{Evaluation, EvaluationBuilder};
     pub use crate::hybrid::{
         probe_at, recent_probe_mean, ConditionScaled, FittedRegression, ProbePoint, ProbeRegression,
     };

@@ -1,5 +1,5 @@
-//! Differential property test: the incremental replay engine is a
-//! drop-in replacement for the naive evaluator.
+//! Differential property test: the rolling-state replay engine agrees
+//! with the slice-based oracle (`wanpred_predict::testing::slice_replay`).
 //!
 //! For arbitrary irregular histories — bursty arrival gaps (including
 //! gaps that empty every temporal window), mixed and single size
@@ -13,6 +13,7 @@
 use proptest::prelude::*;
 use wanpred_obs::ObsSink;
 use wanpred_predict::prelude::*;
+use wanpred_predict::testing::slice_replay;
 
 /// An irregular replay log. Gaps span 1 s to ~11 days, so temporal
 /// windows (5 h … 10 d) are sometimes saturated and sometimes empty;
@@ -77,15 +78,8 @@ proptest! {
         // predictors (and their windowed-mean fallback paths).
         let suite = extended_suite();
         let opts = EvalOptions { training };
-        let naive =
-            Evaluation::replay(&series, &suite, EvalEngine::Naive, opts, &ObsSink::disabled());
-        let inc = Evaluation::replay(
-            &series,
-            &suite,
-            EvalEngine::Incremental,
-            opts,
-            &ObsSink::disabled(),
-        );
+        let naive = slice_replay(&series, &suite, opts);
+        let inc = Evaluation::replay(&series, &suite, opts, &ObsSink::disabled());
         prop_assert_eq!(naive.len(), inc.len());
         for (n, i) in naive.iter().zip(&inc) {
             prop_assert_eq!(&n.name, &i.name);

@@ -78,13 +78,7 @@ proptest! {
     #[test]
     fn evaluate_accounts_for_every_target(h in arb_history(), training in 0usize..30) {
         let suite = full_suite();
-        let reports = Evaluation::replay(
-            &h,
-            &suite,
-            EvalEngine::Naive,
-            EvalOptions { training },
-            &wanpred_obs::ObsSink::disabled(),
-        );
+        let reports = wanpred_predict::testing::slice_replay(&h, &suite, EvalOptions { training });
         let targets = h.len().saturating_sub(training);
         for r in &reports {
             prop_assert_eq!(r.outcomes.len() + r.declined, targets, "{}", &r.name);

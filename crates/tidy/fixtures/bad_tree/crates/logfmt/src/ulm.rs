@@ -1,5 +1,5 @@
 // Fixture: ULM keyword drift — DEST is emitted by encode but never
-// parsed back by decode; STALE is declared but never emitted.
+// parsed back by decode_borrowed; STALE is declared but never emitted.
 pub mod keys {
     pub const SRC: &str = "SRC";
     pub const DEST: &str = "DEST";
@@ -10,6 +10,6 @@ pub fn encode(a: &str, b: &str) -> String {
     format!("{}={} {}={}", keys::SRC, a, keys::DEST, b)
 }
 
-pub fn decode(line: &str) -> Option<String> {
+pub fn decode_borrowed(line: &str) -> Option<String> {
     line.strip_prefix(keys::SRC).map(str::to_string)
 }

@@ -62,8 +62,8 @@ pub fn all() -> Vec<RuleMeta> {
     out.push(RuleMeta {
         id: ULM_SCHEMA,
         kind: RuleKind::CrossFile,
-        summary: "ULM keywords and LDAP attributes must stay coherent across encode/decode, \
-                  provider, schema and broker",
+        summary: "ULM keywords and LDAP attributes must stay coherent across \
+                  encode/decode_borrowed, provider, schema and broker",
     });
     out.push(RuleMeta {
         id: OBS_NAMES,

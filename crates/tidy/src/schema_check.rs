@@ -5,8 +5,12 @@
 //!
 //! 1. **ULM keyword drift** — every keyword constant declared in
 //!    `logfmt::ulm::keys` must be written by `encode` *and* read back by
-//!    `decode`. A keyword emitted but never parsed silently drops data on
-//!    reload; one declared but never emitted is dead vocabulary.
+//!    `decode_borrowed`, the decoder production runs (the allocating
+//!    oracle in `logfmt::testing` is held to it by the differential
+//!    tests, not by this rule). A keyword emitted but never parsed
+//!    silently drops data on reload; one declared but never emitted is
+//!    dead vocabulary. When `ulm.rs` exists, an anchor that cannot be
+//!    found is itself a finding: a rename must not switch the check off.
 //! 2. **LDAP attribute drift** — every performance attribute the GRIS
 //!    provider publishes (`infod::provider`), every degraded-mode
 //!    attribute the GRIS itself stamps onto cached entries
@@ -38,6 +42,14 @@ const RANGE_VALUES: &[&str] = &[
     "onegbrange",
 ];
 
+/// The items `check_ulm_keys` reads in `ulm.rs`. The encode marker keeps
+/// the trailing `(` so `fn encode_value` is not mistaken for `fn encode`;
+/// the decode marker stops at the name because the real signature
+/// continues with a lifetime parameter.
+const KEYS_ANCHOR: &str = "mod keys";
+const ENCODE_ANCHOR: &str = "fn encode(";
+const DECODE_ANCHOR: &str = "fn decode_borrowed";
+
 /// Run every coherence check against files under `root`. Files that do
 /// not exist are skipped (the checker also runs against fixture trees).
 pub fn check_schema(root: &Path) -> Vec<Finding> {
@@ -57,13 +69,27 @@ fn check_ulm_keys(root: &Path, findings: &mut Vec<Finding>) {
     let Some((rel, scanned)) = load(root, "crates/logfmt/src/ulm.rs") else {
         return;
     };
-    let Some(keys_span) = span_lines(&scanned, "mod keys") else {
+    let keys_span = span_lines(&scanned, KEYS_ANCHOR);
+    let encode = span_text(&scanned, ENCODE_ANCHOR);
+    let decode = span_text(&scanned, DECODE_ANCHOR);
+    for (anchor, found) in [
+        (KEYS_ANCHOR, keys_span.is_some()),
+        (ENCODE_ANCHOR, encode.is_some()),
+        (DECODE_ANCHOR, decode.is_some()),
+    ] {
+        if !found {
+            findings.push(Finding::cross_file(
+                RULE,
+                &rel,
+                0,
+                format!("`{anchor}` not found: ULM keyword coherence cannot be checked"),
+                "restore the item, or point schema_check's anchor at its new name",
+            ));
+        }
+    }
+    let Some(keys_span) = keys_span else {
         return;
     };
-    // Markers keep the trailing `(` so `fn encode_value` is not mistaken
-    // for `fn encode`.
-    let encode = span_text(&scanned, "fn encode(");
-    let decode = span_text(&scanned, "fn decode(");
 
     for (name, line) in key_consts(&scanned, keys_span) {
         let reference = format!("keys::{name}");
@@ -86,8 +112,10 @@ fn check_ulm_keys(root: &Path, findings: &mut Vec<Finding>) {
                     RULE,
                     &rel,
                     line,
-                    format!("ULM keyword `{name}` is emitted but never parsed back by `decode`"),
-                    "parse it in decode so records round-trip losslessly",
+                    format!(
+                        "ULM keyword `{name}` is emitted but never parsed back by `decode_borrowed`"
+                    ),
+                    "parse it in decode_borrowed so records round-trip losslessly",
                 ));
             }
         }

@@ -110,7 +110,7 @@ fn schema_drift_findings_name_the_drifted_attributes() {
     // Keyword emitted but not parsed, and declared but dead.
     assert!(messages
         .iter()
-        .any(|m| m.contains("`DEST`") && m.contains("never parsed")));
+        .any(|m| m.contains("`DEST`") && m.contains("never parsed back by `decode_borrowed`")));
     assert!(messages
         .iter()
         .any(|m| m.contains("`STALE`") && m.contains("never written")));
@@ -124,6 +124,27 @@ fn schema_drift_findings_name_the_drifted_attributes() {
     assert!(messages
         .iter()
         .any(|m| m.contains("`predictrdbandwidth`") && m.contains("broker")));
+}
+
+#[test]
+fn ulm_schema_cannot_be_switched_off_by_renaming_an_anchor() {
+    // The fixture's ulm.rs with its decoder renamed away from the anchor:
+    // the keyword check has nothing to read, which must be a finding.
+    let root = std::env::temp_dir().join(format!("tidy-anchor-test-{}", std::process::id()));
+    let dir = root.join("crates/logfmt/src");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let ulm = std::fs::read_to_string(fixture("bad_tree").join("crates/logfmt/src/ulm.rs"))
+        .expect("fixture")
+        .replace("fn decode_borrowed", "fn decode");
+    std::fs::write(dir.join("ulm.rs"), ulm).expect("write");
+    let findings = tidy::schema_check::check_schema(&root);
+    std::fs::remove_dir_all(&root).ok();
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.message.contains("`fn decode_borrowed` not found")),
+        "{findings:#?}"
+    );
 }
 
 #[test]

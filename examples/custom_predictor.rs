@@ -46,15 +46,9 @@ fn main() {
     let mut suite = paper_suite(true);
     suite.push(NamedPredictor::new(Box::new(TrimmedMean25), true));
 
-    // The incremental engine transparently falls back to naive replay for
-    // custom predictors it has no rolling state for.
-    let reports = Evaluation::replay(
-        &obs,
-        &suite,
-        EvalEngine::Incremental,
-        EvalOptions::default(),
-        &ObsSink::disabled(),
-    );
+    // The replay engine transparently falls back to a slice-based walk
+    // for custom predictors it has no rolling state for.
+    let reports = Evaluation::replay(&obs, &suite, EvalOptions::default(), &ObsSink::disabled());
     let mut table =
         Table::new("LBL-ANL, classified, all classes").headers(["predictor", "MAPE %", "answered"]);
     let mut ranked: Vec<(&str, Option<f64>, usize)> = reports

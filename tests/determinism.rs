@@ -187,8 +187,8 @@ fn paper_suite_evaluation_is_pure() {
     let suite = full_suite();
     let opts = EvalOptions::default();
     let sink = ObsSink::disabled();
-    let e1 = Evaluation::replay(&obs, &suite, EvalEngine::Naive, opts, &sink);
-    let e2 = Evaluation::replay(&obs, &suite, EvalEngine::Naive, opts, &sink);
+    let e1 = Evaluation::replay(&obs, &suite, opts, &sink);
+    let e2 = Evaluation::replay(&obs, &suite, opts, &sink);
     for (a, b) in e1.iter().zip(&e2) {
         assert_eq!(a.outcomes.len(), b.outcomes.len());
         assert_eq!(a.mape(), b.mape());

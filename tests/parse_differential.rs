@@ -8,7 +8,7 @@
 //! whatever the simulated GridFTP servers actually write, both paths
 //! agree on all of it.
 
-use wanpred_core::logfmt::ulm;
+use wanpred_core::logfmt::testing::decode as oracle_decode;
 use wanpred_core::logfmt::{SalvageReason, TransferColumns, TransferLog};
 use wanpred_core::predict::observations_from_ulm;
 use wanpred_core::prelude::*;
@@ -30,7 +30,7 @@ fn oracle_parse(doc: &str) -> TransferLog {
         if t.is_empty() || t.starts_with('#') {
             continue;
         }
-        log.append(ulm::decode(t).expect("campaign output is well-formed"));
+        log.append(oracle_decode(t).expect("campaign output is well-formed"));
     }
     log
 }
@@ -107,7 +107,7 @@ fn salvage_quarantines_identically_after_corruption() {
         for q in &report.quarantined {
             if let SalvageReason::Parse(reason) = &q.reason {
                 let (content, _) = wanpred_core::logfmt::check_line(&q.content);
-                match ulm::decode(content) {
+                match oracle_decode(content) {
                     Err(e) => assert_eq!(&e.to_string(), reason, "{pair:?} line {}", q.line),
                     Ok(_) => panic!(
                         "{pair:?} line {}: quarantined as parse failure but oracle accepts: {}",
