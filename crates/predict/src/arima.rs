@@ -15,7 +15,7 @@
 //! extrapolating a meaningless line.
 
 use crate::observation::Observation;
-use crate::predictor::{values, Predictor, PredictorSpec};
+use crate::predictor::{bandwidths, mean_bandwidth, BandwidthSums, Predictor, PredictorSpec};
 use crate::stats;
 use crate::window::Window;
 
@@ -46,15 +46,44 @@ impl ArPredictor {
 
     /// Fit `(a, b)` on the windowed series, if well-posed.
     pub fn fit(&self, history: &[Observation], now: u64) -> Option<(f64, f64)> {
-        let sel = self.window.select(history, now);
-        if sel.len() < Self::MIN_POINTS {
-            return None;
+        fit_selected(self.window.select(history, now), None)
+    }
+}
+
+/// [`ArPredictor::fit`] on an already-selected window; `sums`, when the
+/// caller keeps them, are the window's running sums.
+fn fit_selected(sel: &[Observation], sums: Option<BandwidthSums>) -> Option<(f64, f64)> {
+    if sel.len() < ArPredictor::MIN_POINTS {
+        return None;
+    }
+    // Regress each value on its predecessor: x drops the newest, y the
+    // oldest.
+    let (x, y) = (sel.split_last()?.1, sel.split_first()?.1);
+    let (sx, sy) = match sums {
+        Some(s) => (s.but_newest, s.but_oldest),
+        None => (bandwidths(x).sum(), bandwidths(y).sum()),
+    };
+    let n = x.len();
+    stats::ols_about(
+        bandwidths(x).zip(bandwidths(y)),
+        n,
+        sx / n as f64,
+        sy / n as f64,
+    )
+}
+
+/// [`ArPredictor::predict`] on an already-selected window.
+pub(crate) fn predict_selected(sel: &[Observation], sums: Option<BandwidthSums>) -> Option<f64> {
+    match (fit_selected(sel, sums), sel.last()) {
+        (Some((a, b)), Some(newest)) => {
+            // Negative bandwidth is physically meaningless; clamp to a
+            // tiny positive floor so percentage errors stay defined.
+            Some((a + b * newest.bandwidth_kbs).max(1e-6))
         }
-        let v = values(sel);
-        let x = &v[..v.len() - 1];
-        // tidy: allow(panic-path): sel.len() >= MIN_POINTS (4) is checked above, so v is non-empty
-        let y = &v[1..];
-        stats::ols(x, y)
+        // Small or degenerate sample: fall back to the windowed mean,
+        // as NWS-style systems do rather than refusing to forecast (an
+        // empty window still declines).
+        _ => mean_bandwidth(sel, sums.map(|s| s.all)),
     }
 }
 
@@ -64,19 +93,7 @@ impl Predictor for ArPredictor {
     }
 
     fn predict(&self, history: &[Observation], now: u64) -> Option<f64> {
-        let sel = self.window.select(history, now);
-        match (self.fit(history, now), sel.last()) {
-            (Some((a, b)), Some(newest)) => {
-                // Negative bandwidth is physically meaningless; clamp to a
-                // tiny positive floor so percentage errors stay defined.
-                Some((a + b * newest.bandwidth_kbs).max(1e-6))
-            }
-            // Small or degenerate sample: fall back to the windowed mean,
-            // as NWS-style systems do rather than refusing to forecast
-            // (`mean` is `None` on an empty window, so the empty case
-            // still declines).
-            _ => stats::mean(&values(sel)),
-        }
+        predict_selected(self.window.select(history, now), None)
     }
 
     fn spec(&self) -> Option<PredictorSpec> {

@@ -330,11 +330,7 @@ impl StreamState {
                 sorted,
             } => {
                 vals.push_back((o.at_unix, v));
-                // Total order (NaN sorts last) so that a NaN-tainted
-                // observation keeps insert/evict positions consistent
-                // instead of corrupting the order statistic.
-                let at = sorted.partition_point(|x| x.total_cmp(&v).is_lt());
-                sorted.insert(at, v);
+                crate::stats::insert_sorted(sorted, v);
                 if let Window::LastN(n) = *window {
                     while vals.len() > n {
                         if let Some((_, old)) = vals.pop_front() {
@@ -426,13 +422,7 @@ impl StreamState {
                         }
                     }
                 }
-                // The paper's §4.1 convention, same as `stats::median`.
-                let t = sorted.len();
-                match t {
-                    0 => None,
-                    _ if t % 2 == 1 => Some(sorted[t / 2]),
-                    _ => Some((sorted[t / 2 - 1] + sorted[t / 2]) / 2.0),
-                }
+                crate::stats::median_of_sorted(sorted)
             }
             StreamState::Ar {
                 window,

@@ -2,8 +2,7 @@
 //! portion of history — `AVG`, `AVG5/15/25`, `AVG5hr/15hr/25hr`.
 
 use crate::observation::Observation;
-use crate::predictor::{values, Predictor, PredictorSpec};
-use crate::stats;
+use crate::predictor::{mean_bandwidth, Predictor, PredictorSpec};
 use crate::window::Window;
 
 /// Arithmetic-mean predictor over a history window.
@@ -35,8 +34,7 @@ impl Predictor for MeanPredictor {
     }
 
     fn predict(&self, history: &[Observation], now: u64) -> Option<f64> {
-        let sel = self.window.select(history, now);
-        stats::mean(&values(sel))
+        mean_bandwidth(self.window.select(history, now), None)
     }
 
     fn spec(&self) -> Option<PredictorSpec> {

@@ -5,7 +5,7 @@
 //! §6.2 indeed observes median predictors "varying more").
 
 use crate::observation::Observation;
-use crate::predictor::{values, Predictor, PredictorSpec};
+use crate::predictor::{bandwidths, Predictor, PredictorSpec};
 use crate::stats;
 use crate::window::Window;
 
@@ -31,14 +31,20 @@ impl MedianPredictor {
     }
 }
 
+/// Median bandwidth of a slice ([`stats::median`]'s sort on one copy).
+pub(crate) fn median_bandwidth(sel: &[Observation]) -> Option<f64> {
+    let mut v: Vec<f64> = bandwidths(sel).collect();
+    v.sort_by(|a, b| a.total_cmp(b));
+    stats::median_of_sorted(&v)
+}
+
 impl Predictor for MedianPredictor {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn predict(&self, history: &[Observation], now: u64) -> Option<f64> {
-        let sel = self.window.select(history, now);
-        stats::median(&values(sel))
+        median_bandwidth(self.window.select(history, now))
     }
 
     fn spec(&self) -> Option<PredictorSpec> {

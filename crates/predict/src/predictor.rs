@@ -162,9 +162,51 @@ pub trait Predictor: Send + Sync {
     }
 }
 
-/// Extract bandwidth values from an observation slice.
-pub(crate) fn values(obs: &[Observation]) -> Vec<f64> {
-    obs.iter().map(|o| o.bandwidth_kbs).collect()
+/// The bandwidth values of an observation slice, in order.
+pub(crate) fn bandwidths(obs: &[Observation]) -> impl Iterator<Item = f64> + '_ {
+    obs.iter().map(|o| o.bandwidth_kbs)
+}
+
+/// Mean bandwidth of a (selected) slice: [`crate::stats::mean`] of its
+/// values without collecting them. `sum`, when the caller keeps one, is
+/// the slice's `Σ` bandwidth folded as `Iterator::sum` folds it, which
+/// makes the mean one division and no pass.
+pub(crate) fn mean_bandwidth(obs: &[Observation], sum: Option<f64>) -> Option<f64> {
+    if obs.is_empty() {
+        return None;
+    }
+    Some(sum.unwrap_or_else(|| bandwidths(obs).sum()) / obs.len() as f64)
+}
+
+/// Running `Σ` bandwidth of an append-only series — all of it, all but
+/// its newest element and all but its oldest (AR's regressor and
+/// regressand) — each bit-identical to `Iterator::sum` over that range:
+/// the same left fold from the same identity (`-0.0`, not `0.0`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BandwidthSums {
+    pub(crate) all: f64,
+    pub(crate) but_newest: f64,
+    pub(crate) but_oldest: f64,
+}
+
+impl BandwidthSums {
+    pub(crate) fn new() -> Self {
+        let identity: f64 = std::iter::empty::<f64>().sum();
+        BandwidthSums {
+            all: identity,
+            but_newest: identity,
+            but_oldest: identity,
+        }
+    }
+
+    /// Append `v`; `first` says the series was empty.
+    pub(crate) fn push(&mut self, v: f64, first: bool) {
+        self.but_newest = self.all;
+        self.all += v;
+        if !first {
+            self.but_oldest += v;
+        }
+    }
 }
 
 #[cfg(test)]

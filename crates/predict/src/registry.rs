@@ -96,31 +96,24 @@ impl NamedPredictor {
             CLASS_SCRATCH.with(|scratch| {
                 let mut buf = scratch.borrow_mut();
                 filter_class_into(history, class, &mut buf);
-                self.inner.predict_sized(&buf[..], now, target_size)
+                self.predict_seen(&buf[..], now, target_size)
             })
         } else {
-            self.inner.predict_sized(history, now, target_size)
+            self.predict_seen(history, now, target_size)
         }
     }
 
-    /// [`predict`](NamedPredictor::predict) for a caller that already
-    /// keeps the history split by size class, so a classified variant
-    /// reads its class's slice instead of filtering a copy out of the
-    /// full history. `by_class[c.index()]` must hold exactly the
-    /// observations of `history` in class `c`, in order; given that, the
-    /// answer is bit-identical to `predict(history, ..)`.
-    pub fn predict_presplit(
+    /// The base predictor's answer on a history the caller has already
+    /// restricted to what this variant may see — for a classified
+    /// variant, the target's size class in arrival order. Given that,
+    /// bit-identical to [`predict`](NamedPredictor::predict) on the full
+    /// history.
+    pub(crate) fn predict_seen(
         &self,
-        history: &[Observation],
-        by_class: &[Vec<Observation>; 4],
+        seen: &[Observation],
         now: u64,
         target_size: u64,
     ) -> Option<f64> {
-        let seen = if self.classified {
-            &by_class[SizeClass::of_bytes(target_size).index()]
-        } else {
-            history
-        };
         self.inner.predict_sized(seen, now, target_size)
     }
 
@@ -378,31 +371,5 @@ mod tests {
         }];
         let classified = NamedPredictor::new(Box::new(MeanPredictor::new(Window::All)), true);
         assert_eq!(classified.predict(&h, 1, 1000 * PAPER_MB), None);
-    }
-
-    #[test]
-    fn presplit_prediction_is_bit_identical_for_every_variant() {
-        let series = crate::predictor::testutil::bursty_series(160);
-        let suite = extended_suite();
-        let mut by_class: [Vec<Observation>; 4] = Default::default();
-        for (i, target) in series.iter().enumerate() {
-            let history = &series[..i];
-            // Ask about every class, not just the target's: a class with no
-            // history yet must decline on both paths.
-            for class in SizeClass::ALL {
-                let size = class.byte_range().0 + PAPER_MB;
-                for p in &suite {
-                    let want = p.predict(history, target.at_unix, size);
-                    let got = p.predict_presplit(history, &by_class, target.at_unix, size);
-                    assert_eq!(
-                        got.map(f64::to_bits),
-                        want.map(f64::to_bits),
-                        "{} at {i} for {class}",
-                        p.name()
-                    );
-                }
-            }
-            by_class[SizeClass::of_bytes(target.file_size).index()].push(*target);
-        }
     }
 }

@@ -31,8 +31,7 @@
 
 use crate::classify::PAPER_MB;
 use crate::observation::Observation;
-use crate::predictor::{values, Predictor, PredictorSpec};
-use crate::stats;
+use crate::predictor::{mean_bandwidth, Predictor, PredictorSpec};
 use crate::window::Window;
 
 /// Maximum number of non-intercept basis functions.
@@ -321,19 +320,35 @@ impl RegressionPredictor {
         target_size: Option<u64>,
     ) -> Option<f64> {
         let sel = self.window.select(history, now);
-        let last = sel.last()?;
         // Without an announced target size (plain `predict`), assume the
         // next transfer resembles the last one.
-        let size = target_size.unwrap_or(last.file_size);
-        match GramAcc::from_slice(sel, self.kind).fit(self.kind.dim()) {
-            Some(coef) => Some(eval_fit(
-                coef,
-                self.kind.basis_of_target(now, size, last),
-                self.kind.dim(),
-            )),
-            // Degenerate or small sample: windowed mean, like AR.
-            None => stats::mean(&values(sel)),
-        }
+        let size = target_size.unwrap_or(sel.last()?.file_size);
+        let gram = GramAcc::from_slice(sel, self.kind);
+        predict_selected(self.kind, sel, gram, None, now, size)
+    }
+}
+
+/// A regression prediction on an already-selected window, given its
+/// Gram accumulator ([`GramAcc::from_slice`], or a running one merged
+/// in the same order) and, when the caller keeps it, its `Σ` bandwidth
+/// for the fallback mean.
+pub(crate) fn predict_selected(
+    kind: RegKind,
+    sel: &[Observation],
+    gram: GramAcc,
+    sum: Option<f64>,
+    now: u64,
+    target_size: u64,
+) -> Option<f64> {
+    let last = sel.last()?;
+    match gram.fit(kind.dim()) {
+        Some(coef) => Some(eval_fit(
+            coef,
+            kind.basis_of_target(now, target_size, last),
+            kind.dim(),
+        )),
+        // Degenerate or small sample: windowed mean, like AR.
+        None => mean_bandwidth(sel, sum),
     }
 }
 
@@ -574,7 +589,7 @@ mod tests {
             .map(|o| o.file_size as f64 / PAPER_MB as f64)
             .collect();
         let ys: Vec<f64> = h.iter().map(|o| o.bandwidth_kbs).collect();
-        let (a, b) = stats::ols(&xs, &ys).unwrap();
+        let (a, b) = crate::stats::ols(&xs, &ys).unwrap();
         let coef = GramAcc::from_slice(&h, RegKind::SizeLinear).fit(1).unwrap();
         assert!((coef[0] - a).abs() < 1e-9 * a.abs().max(1.0));
         assert!((coef[1] - b).abs() < 1e-9 * b.abs().max(1.0));

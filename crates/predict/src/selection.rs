@@ -43,9 +43,10 @@ impl RollingMape {
         assert!(window >= 1, "window must hold at least one error");
         RollingMape {
             window,
-            // Effectively-unbounded windows (all-time scoring) must not
-            // preallocate their nominal capacity.
-            errs: VecDeque::with_capacity(window.min(1024)),
+            // No slots until something scores: a tournament holds one
+            // of these per candidate per board, and most boards of most
+            // pairs stay far below their nominal window.
+            errs: VecDeque::new(),
         }
     }
 
@@ -58,13 +59,19 @@ impl RollingMape {
         }
         if self.errs.len() == self.window {
             self.errs.pop_front();
+        } else if self.errs.len() == self.errs.capacity() {
+            // Grow geometrically, but never past the window.
+            let target = (self.errs.capacity() * 2).max(4).min(self.window);
+            self.errs.reserve_exact(target - self.errs.len());
         }
         self.errs.push_back(err);
     }
 
-    /// Mean of the in-window errors; `None` until something scores. The
-    /// window is short (tens of entries), so the direct summation is
-    /// both cheap and exact enough.
+    /// Mean of the in-window errors; `None` until something scores: a
+    /// front-to-back sum of up to `window` entries (50 on the
+    /// tournament's global board, 400 on a class board by default). A
+    /// sliding-window sum has no bit-exact O(1) form, and leaders are
+    /// ranked on these bits.
     pub fn mape(&self) -> Option<f64> {
         if self.errs.is_empty() {
             return None;
@@ -188,6 +195,24 @@ mod tests {
 
     fn obs(i: u64, bw: f64) -> Observation {
         Observation::new(1_000 + i, bw, 100 * PAPER_MB)
+    }
+
+    #[test]
+    fn rolling_mape_allocates_on_first_use_and_never_past_its_window() {
+        let mut m = RollingMape::new(400);
+        assert_eq!(m.errs.capacity(), 0, "a fresh board owns no heap slots");
+        m.record(f64::NAN);
+        assert_eq!(m.errs.capacity(), 0, "dropped errors allocate nothing");
+        for i in 0..1_000 {
+            m.record(i as f64);
+            assert!(m.errs.capacity() <= 400);
+        }
+        assert_eq!(m.count(), 400);
+        assert_eq!(m.mape(), Some((600..1_000).sum::<i32>() as f64 / 400.0));
+        let mut one = RollingMape::new(1);
+        one.record(1.0);
+        one.record(3.0);
+        assert_eq!((one.count(), one.mape()), (1, Some(3.0)));
     }
 
     fn selector() -> DynamicSelector {

@@ -19,11 +19,27 @@ pub fn median(xs: &[f64]) -> Option<f64> {
     }
     let mut v = xs.to_vec();
     v.sort_by(|a, b| a.total_cmp(b));
+    median_of_sorted(&v)
+}
+
+/// Insert `v` into a vector kept in `total_cmp` order (NaN sorts last,
+/// so a NaN-tainted value keeps later positions consistent instead of
+/// corrupting the order statistic).
+pub(crate) fn insert_sorted(sorted: &mut Vec<f64>, v: f64) {
+    let at = sorted.partition_point(|x| x.total_cmp(&v).is_lt());
+    sorted.insert(at, v);
+}
+
+/// [`median`] of values already in `total_cmp` order — the read side of
+/// an order statistic kept sorted by insertion. `total_cmp` calls two
+/// values equal only when their bits are, so any sort of one multiset
+/// yields the same sequence and this is bit-identical to [`median`].
+pub(crate) fn median_of_sorted(v: &[f64]) -> Option<f64> {
     let t = v.len();
-    if t % 2 == 1 {
-        Some(v[t / 2])
-    } else {
-        Some((v[t / 2 - 1] + v[t / 2]) / 2.0)
+    match t {
+        0 => None,
+        _ if t % 2 == 1 => Some(v[t / 2]),
+        _ => Some((v[t / 2 - 1] + v[t / 2]) / 2.0),
     }
 }
 
@@ -82,11 +98,26 @@ pub fn ols(x: &[f64], y: &[f64]) -> Option<(f64, f64)> {
     if n < 2 {
         return None;
     }
-    let mx = mean(x)?;
-    let my = mean(y)?;
+    ols_about(
+        x.iter().copied().zip(y.iter().copied()),
+        n,
+        mean(x)?,
+        mean(y)?,
+    )
+}
+
+/// The centred pass of [`ols`] over `n >= 2` pairs whose means
+/// `(mx, my)` the caller already holds — from [`mean`], or from running
+/// sums folded in the same order, which is the same division.
+pub(crate) fn ols_about(
+    pairs: impl Iterator<Item = (f64, f64)>,
+    n: usize,
+    mx: f64,
+    my: f64,
+) -> Option<(f64, f64)> {
     let mut sxx = 0.0;
     let mut sxy = 0.0;
-    for (xi, yi) in x.iter().zip(y) {
+    for (xi, yi) in pairs {
         sxx += (xi - mx) * (xi - mx);
         sxy += (xi - mx) * (yi - my);
     }

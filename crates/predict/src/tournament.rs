@@ -47,11 +47,17 @@ use std::collections::BTreeMap;
 
 use wanpred_obs::{names, ObsSink};
 
+use crate::arima;
 use crate::classify::SizeClass;
 use crate::eval::{EvalOptions, PredictionOutcome, PredictorReport};
+use crate::median::median_bandwidth;
 use crate::observation::Observation;
+use crate::predictor::{mean_bandwidth, BandwidthSums, PredictorSpec};
 use crate::registry::{extended_suite, NamedPredictor};
+use crate::regression::{self, GramAcc, RegKind, MAX_DIM};
 use crate::selection::RollingMape;
+use crate::stats;
+use crate::window::Window;
 
 /// Tuning knobs for a [`Tournament`].
 #[derive(Debug, Clone, Copy)]
@@ -107,9 +113,106 @@ impl Default for TournamentOptions {
     }
 }
 
+/// One arrival-ordered observation stream — every target, or one size
+/// class — with the statistics the pool's specs read over
+/// [`Window::All`] kept append-only in a form that is *bit-exact*: the
+/// running sums are the left fold `Iterator::sum` is, a `total_cmp`
+/// sort of the slice yields exactly `sorted`, [`GramAcc::from_slice`]
+/// is the same arrival-order merge, and the time-of-day basis is a pure
+/// function of `at_unix`. Bounded windows and AR's centred pass have no
+/// such form and read `obs`. An accumulator no spec reads is `None`.
+#[derive(Clone)]
+struct Stream {
+    obs: Vec<Observation>,
+    sums: BandwidthSums,
+    /// Bandwidths in `total_cmp` order (`MED`).
+    sorted: Option<Vec<f64>>,
+    /// All-history Gram accumulators, indexed by `RegKind as usize`.
+    grams: [Option<GramAcc>; RegKind::ALL.len()],
+    /// `RegKind::TimeOfDay`'s basis of each observation, for windowed
+    /// time-of-day fits (`REGtod25hr`).
+    tod: Option<Vec<[f64; MAX_DIM]>>,
+}
+
+impl Stream {
+    /// An empty stream keeping what `specs` read.
+    fn for_specs(specs: impl Iterator<Item = PredictorSpec>) -> Stream {
+        let mut s = Stream {
+            obs: Vec::new(),
+            sums: BandwidthSums::new(),
+            sorted: None,
+            grams: [None; RegKind::ALL.len()],
+            tod: None,
+        };
+        for spec in specs {
+            match spec {
+                PredictorSpec::Median(Window::All) => s.sorted = Some(Vec::new()),
+                PredictorSpec::Regression(kind, Window::All) => {
+                    s.grams[kind as usize] = Some(GramAcc::default());
+                }
+                PredictorSpec::Regression(RegKind::TimeOfDay, _) => s.tod = Some(Vec::new()),
+                _ => {}
+            }
+        }
+        s
+    }
+
+    fn push(&mut self, o: Observation) {
+        let v = o.bandwidth_kbs;
+        self.sums.push(v, self.obs.is_empty());
+        if let Some(sorted) = &mut self.sorted {
+            stats::insert_sorted(sorted, v);
+        }
+        for (kind, gram) in RegKind::ALL.into_iter().zip(&mut self.grams) {
+            if let Some(g) = gram {
+                *g = g.merge(GramAcc::of_obs(kind.basis_of_obs(&o), v));
+            }
+        }
+        if let Some(tod) = &mut self.tod {
+            tod.push(RegKind::TimeOfDay.basis_of_obs(&o));
+        }
+        self.obs.push(o);
+    }
+
+    /// What the standard predictor `spec` describes answers on this
+    /// stream, bit for bit.
+    fn predict(&self, spec: PredictorSpec, now: u64, target_size: u64) -> Option<f64> {
+        let select = |w: Window| w.select(&self.obs, now);
+        let sums = |w: Window| (w == Window::All).then_some(self.sums);
+        match spec {
+            PredictorSpec::Mean(w) => mean_bandwidth(select(w), sums(w).map(|s| s.all)),
+            PredictorSpec::Median(w) => match &self.sorted {
+                Some(sorted) if w == Window::All => stats::median_of_sorted(sorted),
+                _ => median_bandwidth(select(w)),
+            },
+            PredictorSpec::Ar(w) => arima::predict_selected(select(w), sums(w)),
+            PredictorSpec::Last => self.obs.last().map(|o| o.bandwidth_kbs),
+            PredictorSpec::Regression(kind, w) => {
+                let sel = select(w);
+                let gram = match (self.grams[kind as usize], &self.tod) {
+                    (Some(gram), _) if w == Window::All => gram,
+                    (_, Some(tod)) if kind == RegKind::TimeOfDay => {
+                        let memo = &tod[self.obs.len() - sel.len()..];
+                        sel.iter()
+                            .zip(memo)
+                            .fold(GramAcc::default(), |acc, (o, &b)| {
+                                acc.merge(GramAcc::of_obs(b, o.bandwidth_kbs))
+                            })
+                    }
+                    _ => GramAcc::from_slice(sel, kind),
+                };
+                let sum = sums(w).map(|s| s.all);
+                regression::predict_selected(kind, sel, gram, sum, now, target_size)
+            }
+        }
+    }
+}
+
 /// An online tournament over a fixed candidate suite for one path.
 pub struct Tournament {
     candidates: Vec<NamedPredictor>,
+    /// Each candidate's [`NamedPredictor::spec`], read once.
+    specs: Vec<Option<PredictorSpec>>,
     /// Global rolling error per candidate (all scored targets).
     scores: Vec<RollingMape>,
     /// Per-size-class rolling error per candidate, indexed
@@ -117,11 +220,12 @@ pub struct Tournament {
     /// matching class, mirroring the paper's classification insight:
     /// the best predictor differs per size regime.
     class_scores: Vec<[RollingMape; 4]>,
-    history: Vec<Observation>,
-    /// `history` split by size class (`[SizeClass::index()]`), so the
-    /// classified half of the pool reads its slice instead of each
-    /// candidate filtering the full history on every call.
-    by_class: [Vec<Observation>; 4],
+    /// Every absorbed observation in arrival order: what unclassified
+    /// candidates see.
+    all: Stream,
+    /// The same split by size class (`[SizeClass::index()]`): what the
+    /// classified half of the pool sees for a target of that class.
+    by_class: [Stream; 4],
     opts: TournamentOptions,
     /// Current global leader (index into `candidates`), once anyone has
     /// scored.
@@ -130,6 +234,9 @@ pub struct Tournament {
     /// has none and falls back to the global leader.
     class_leaders: [Option<usize>; 4],
     switches: u64,
+    /// [`refresh_leaders`](Tournament::refresh_leaders)' two score
+    /// columns, kept between observations.
+    board_scratch: [Vec<Option<f64>>; 2],
 }
 
 impl Tournament {
@@ -140,18 +247,31 @@ impl Tournament {
         let seed = opts
             .seed_champion
             .and_then(|name| candidates.iter().position(|c| c.name() == name));
+        let specs: Vec<Option<PredictorSpec>> = candidates.iter().map(|c| c.spec()).collect();
+        // Which accumulators a stream keeps follows from the specs that
+        // read it: unclassified candidates read `all`, classified ones
+        // their target's class stream.
+        let stream_for = |classified: bool| {
+            let readers = candidates.iter().zip(&specs);
+            Stream::for_specs(
+                readers.filter_map(|(c, s)| s.filter(|_| c.is_classified() == classified)),
+            )
+        };
+        let class_stream = stream_for(true);
         Tournament {
+            all: stream_for(false),
+            by_class: std::array::from_fn(|_| class_stream.clone()),
             candidates,
+            specs,
             scores: (0..n).map(|_| RollingMape::new(opts.window)).collect(),
             class_scores: (0..n)
                 .map(|_| std::array::from_fn(|_| RollingMape::new(opts.class_window)))
                 .collect(),
-            history: Vec::new(),
-            by_class: Default::default(),
             opts,
             leader: seed,
             class_leaders: [seed; 4],
             switches: 0,
+            board_scratch: Default::default(),
         }
     }
 
@@ -169,23 +289,34 @@ impl Tournament {
     pub fn observe(&mut self, o: Observation) {
         let class = SizeClass::of_bytes(o.file_size).index();
         // tidy: allow(float-eq): exact zero-measurement sentinel, same convention as eval::abs_pct_error
-        if !self.history.is_empty() && o.bandwidth_kbs != 0.0 {
+        if !self.all.obs.is_empty() && o.bandwidth_kbs != 0.0 {
             for i in 0..self.candidates.len() {
-                if let Some(pred) = self.candidate_predict(i, o.at_unix, o.file_size) {
+                if let Some(pred) = self.candidate_predict(i, class, o.at_unix, o.file_size) {
                     let err = (o.bandwidth_kbs - pred).abs() / o.bandwidth_kbs.abs() * 100.0;
                     self.scores[i].record(err);
                     self.class_scores[i][class].record(err);
                 }
             }
         }
-        self.history.push(o);
+        self.all.push(o);
         self.by_class[class].push(o);
         self.refresh_leaders(class);
     }
 
-    /// Candidate `i`'s prediction from the absorbed history.
-    fn candidate_predict(&self, i: usize, now: u64, target_size: u64) -> Option<f64> {
-        self.candidates[i].predict_presplit(&self.history, &self.by_class, now, target_size)
+    /// Candidate `i`'s prediction for a target of size class `class`:
+    /// by spec against its stream's accumulators, or, for a custom
+    /// candidate, its own `predict_sized` over the stream's slice.
+    fn candidate_predict(&self, i: usize, class: usize, now: u64, target_size: u64) -> Option<f64> {
+        let candidate = &self.candidates[i];
+        let stream = if candidate.is_classified() {
+            &self.by_class[class]
+        } else {
+            &self.all
+        };
+        match self.specs[i] {
+            Some(spec) => stream.predict(spec, now, target_size),
+            None => candidate.predict_seen(&stream.obs, now, target_size),
+        }
     }
 
     /// Rolling MAPE of a candidate by index, if it has scored in-window.
@@ -218,14 +349,14 @@ impl Tournament {
 
     /// Number of absorbed observations.
     pub fn observed(&self) -> usize {
-        self.history.len()
+        self.all.obs.len()
     }
 
     /// Timestamp of the newest absorbed observation — consumers (the
     /// replica broker) use `now - last_observed_at` as the estimate's
     /// age when ranking against other information sources.
     pub fn last_observed_at(&self) -> Option<u64> {
-        self.history.last().map(|o| o.at_unix)
+        self.all.obs.last().map(|o| o.at_unix)
     }
 
     /// Total ranking order on the global leaderboard:
@@ -281,7 +412,9 @@ impl Tournament {
     /// Refresh the global leaderboard and the one class leaderboard
     /// that just absorbed a target.
     fn refresh_leaders(&mut self, class: usize) {
-        let global: Vec<Option<f64>> = self.scores.iter().map(RollingMape::mape).collect();
+        let [mut global, mut per_class] = std::mem::take(&mut self.board_scratch);
+        global.clear();
+        global.extend(self.scores.iter().map(RollingMape::mape));
         Self::refresh_board(
             &self.candidates,
             &global,
@@ -293,25 +426,22 @@ impl Tournament {
         // the candidate's global MAPE anchor immature class boards to
         // the global ranking. A candidate unscored on both boards stays
         // unscored (None).
-        let per_class: Vec<Option<f64>> = self
-            .class_scores
-            .iter()
-            .zip(&global)
-            .map(|(boards, g)| {
-                let b = &boards[class];
-                if self.opts.class_prior <= 0.0 {
-                    return b.mape();
+        let prior = self.opts.class_prior;
+        per_class.clear();
+        per_class.extend(self.class_scores.iter().zip(&global).map(|(boards, g)| {
+            let b = &boards[class];
+            if prior <= 0.0 {
+                return b.mape();
+            }
+            match (b.mape(), *g) {
+                (Some(cm), Some(gm)) => {
+                    let n = b.count() as f64;
+                    Some((n * cm + prior * gm) / (n + prior))
                 }
-                match (b.mape(), *g) {
-                    (Some(cm), Some(gm)) => {
-                        let n = b.count() as f64;
-                        Some((n * cm + self.opts.class_prior * gm) / (n + self.opts.class_prior))
-                    }
-                    (cm, None) => cm,
-                    (None, gm) => gm,
-                }
-            })
-            .collect();
+                (cm, None) => cm,
+                (None, gm) => gm,
+            }
+        }));
         Self::refresh_board(
             &self.candidates,
             &per_class,
@@ -319,6 +449,7 @@ impl Tournament {
             &mut self.switches,
             self.opts.min_lead,
         );
+        self.board_scratch = [global, per_class];
     }
 
     /// Predict for a transfer of `target_size` at `now`: the target's
@@ -332,14 +463,14 @@ impl Tournament {
             .into_iter()
             .flatten()
         {
-            if let Some(pred) = self.candidate_predict(i, now, target_size) {
+            if let Some(pred) = self.candidate_predict(i, class, now, target_size) {
                 return Some((self.candidates[i].name(), pred));
             }
         }
         let mut order: Vec<usize> = (0..self.candidates.len()).collect();
         order.sort_by(|&a, &b| self.rank_cmp(a, b));
         for i in order {
-            if let Some(pred) = self.candidate_predict(i, now, target_size) {
+            if let Some(pred) = self.candidate_predict(i, class, now, target_size) {
                 return Some((self.candidates[i].name(), pred));
             }
         }
@@ -405,11 +536,14 @@ pub fn replay_tournament(
 }
 
 /// Independent tournaments per source/destination pair. Deterministic
-/// iteration (BTreeMap) keeps multi-pair replays reproducible.
+/// iteration (BTreeMaps, `src` then `dst` — the order of a
+/// `(src, dst)`-keyed map) keeps multi-pair replays reproducible, and
+/// nesting them lets a pair be looked up by borrowed `&str`: a `String`
+/// is allocated only when a pair is first seen, not per record.
 pub struct PairTournament {
     opts: TournamentOptions,
     suite: fn() -> Vec<NamedPredictor>,
-    pairs: BTreeMap<(String, String), Tournament>,
+    pairs: BTreeMap<String, BTreeMap<String, Tournament>>,
 }
 
 impl PairTournament {
@@ -430,33 +564,39 @@ impl PairTournament {
 
     /// Predict for a pair; `None` for never-seen pairs.
     pub fn predict(&self, src: &str, dst: &str, now: u64, target_size: u64) -> Option<(&str, f64)> {
-        self.pairs
-            .get(&(src.to_string(), dst.to_string()))
-            .and_then(|t| t.predict(now, target_size))
+        self.tournament(src, dst)?.predict(now, target_size)
     }
 
     /// The pair's tournament, created on demand.
     pub fn tournament_mut(&mut self, src: &str, dst: &str) -> &mut Tournament {
-        let opts = self.opts;
-        let suite = self.suite;
-        self.pairs
-            .entry((src.to_string(), dst.to_string()))
-            .or_insert_with(|| Tournament::new(suite(), opts))
+        if !self.pairs.contains_key(src) {
+            self.pairs.insert(src.to_string(), BTreeMap::new());
+        }
+        let by_dst = self.pairs.get_mut(src).expect("inserted above if absent");
+        if !by_dst.contains_key(dst) {
+            by_dst.insert(dst.to_string(), Tournament::new((self.suite)(), self.opts));
+        }
+        by_dst.get_mut(dst).expect("inserted above if absent")
     }
 
     /// The pair's tournament, if it exists.
     pub fn tournament(&self, src: &str, dst: &str) -> Option<&Tournament> {
-        self.pairs.get(&(src.to_string(), dst.to_string()))
+        self.pairs.get(src)?.get(dst)
+    }
+
+    /// Every pair's tournament, in `(src, dst)` order.
+    fn tournaments(&self) -> impl Iterator<Item = &Tournament> {
+        self.pairs.values().flat_map(BTreeMap::values)
     }
 
     /// Total leadership switches across pairs.
     pub fn switches(&self) -> u64 {
-        self.pairs.values().map(Tournament::switches).sum()
+        self.tournaments().map(Tournament::switches).sum()
     }
 
     /// Number of tracked pairs.
     pub fn len(&self) -> usize {
-        self.pairs.len()
+        self.tournaments().count()
     }
 
     /// Whether no pair has been observed yet.
@@ -680,16 +820,55 @@ mod tests {
     #[test]
     fn pair_tournaments_are_independent() {
         let mut pt = PairTournament::new(opts(2, 10));
+        assert!(pt.is_empty());
+        assert_eq!((pt.len(), pt.switches()), (0, 0));
+        // Arrival order is not key order, and "an"/"lisi" would collide
+        // with "anl"/"isi" under a concatenated key.
         for i in 0..8 {
-            pt.observe("anl", "isi", obs(i, 100.0));
             pt.observe("anl", "lbl", obs(i, 9_000.0));
+            pt.observe("lbl", "anl", obs(i, 500.0));
+            pt.observe("anl", "isi", obs(i, 100.0));
+            pt.observe("an", "lisi", obs(i, 7.0));
         }
-        assert_eq!(pt.len(), 2);
-        let (_, a) = pt.predict("anl", "isi", 10_000, 100 * PAPER_MB).unwrap();
-        let (_, b) = pt.predict("anl", "lbl", 10_000, 100 * PAPER_MB).unwrap();
-        assert_eq!(a, 100.0);
-        assert_eq!(b, 9_000.0);
-        assert!(pt.predict("anl", "ucb", 10_000, PAPER_MB).is_none());
+        assert_eq!(pt.len(), 4);
         assert!(!pt.is_empty());
+        for (src, dst, want) in [
+            ("anl", "isi", 100.0),
+            ("anl", "lbl", 9_000.0),
+            ("lbl", "anl", 500.0),
+            ("an", "lisi", 7.0),
+        ] {
+            let (_, got) = pt.predict(src, dst, 10_000, 100 * PAPER_MB).unwrap();
+            assert_eq!(got, want, "{src}->{dst}");
+            assert_eq!(pt.tournament(src, dst).unwrap().observed(), 8);
+        }
+        // Lookups never create a pair; only observation does.
+        assert!(pt.predict("anl", "ucb", 10_000, PAPER_MB).is_none());
+        assert!(pt.tournament("isi", "anl").is_none());
+        assert_eq!(pt.len(), 4);
+        // Iteration is (src, dst)-ordered, as the tuple-keyed map was.
+        let order: Vec<(&str, &str)> = pt
+            .pairs
+            .iter()
+            .flat_map(|(s, by_dst)| by_dst.keys().map(move |d| (s.as_str(), d.as_str())))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                ("an", "lisi"),
+                ("anl", "isi"),
+                ("anl", "lbl"),
+                ("lbl", "anl")
+            ]
+        );
+        // One pair's regime change switches only that pair's leader.
+        let before = pt.switches();
+        for i in 8..40 {
+            let bw = if (i / 8) % 2 == 0 { 500.0 } else { 1_500.0 };
+            pt.tournament_mut("anl", "isi").observe(obs(i, bw));
+        }
+        let isi = pt.tournament("anl", "isi").unwrap().switches();
+        assert!(isi >= 1);
+        assert_eq!(pt.switches(), before + isi);
     }
 }

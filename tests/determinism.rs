@@ -194,3 +194,74 @@ fn paper_suite_evaluation_is_pure() {
         assert_eq!(a.mape(), b.mape());
     }
 }
+
+#[test]
+fn tournament_reports_are_bit_identical_to_the_slice_oracle_on_campaign_logs() {
+    // The tournament answers for its standard candidates from shared
+    // append-only accumulators; hiding the candidates' specs forces the
+    // slice-based fallback it keeps for custom predictors. On the logs
+    // the figures are drawn from, and on a faulty co-allocated campaign
+    // (killed stripes, failover re-plans, retries), both must produce
+    // the same report to the bit — in log (arrival) order, which is
+    // what a provider or broker observes, and in the time-sorted order
+    // the figures use. Out-of-start-order arrival is generated on
+    // purpose in `predict/tests/proptest_tournament.rs`.
+    use wanpred_core::gridftp::RetryPolicy;
+    use wanpred_core::predict::testing::hide_specs;
+    use wanpred_core::simnet::fault::FaultConfig;
+
+    let coalloc = CampaignConfig::builder(13)
+        .duration_days(3)
+        .probes(false)
+        .faults(FaultConfig {
+            kill_mean_interarrival: SimDuration::from_mins(40),
+            ..FaultConfig::wan_default()
+        })
+        .retry(RetryPolicy {
+            max_attempts: 2,
+            ..RetryPolicy::wan_default()
+        })
+        .coalloc(2)
+        .build();
+    let campaigns = [
+        ("august", CampaignConfig::august(42)),
+        ("december", CampaignConfig::december(42)),
+        ("coalloc", coalloc),
+    ];
+    let sink = ObsSink::disabled();
+    let replay = |series: &[Observation], suite: Vec<NamedPredictor>| {
+        let t = Tournament::new(suite, TournamentOptions::default());
+        replay_tournament(series, t, &sink)
+    };
+    for (name, cfg) in campaigns {
+        let result = run_campaign(&cfg);
+        for pair in Pair::ALL {
+            let arrival = observations_from_log(result.log(pair));
+            let sorted = wanpred_core::testbed::observation_series(&result, pair);
+            assert!(
+                arrival.len() > 50,
+                "{name} {}: too few records",
+                pair.label()
+            );
+            for series in [&arrival, &sorted] {
+                let fast = replay(series, extended_suite());
+                let oracle = replay(series, hide_specs(extended_suite()));
+                assert_eq!(fast.switches, oracle.switches, "{name} {}", pair.label());
+                assert_eq!(fast.final_winner, oracle.final_winner);
+                assert_eq!(fast.report.declined, oracle.report.declined);
+                assert_eq!(fast.report.outcomes.len(), oracle.report.outcomes.len());
+                for (a, b) in fast.report.outcomes.iter().zip(&oracle.report.outcomes) {
+                    assert_eq!((a.at_unix, a.class), (b.at_unix, b.class));
+                    assert_eq!(a.measured.to_bits(), b.measured.to_bits());
+                    assert_eq!(
+                        a.predicted.to_bits(),
+                        b.predicted.to_bits(),
+                        "{name} {} at {}",
+                        pair.label(),
+                        a.at_unix
+                    );
+                }
+            }
+        }
+    }
+}
