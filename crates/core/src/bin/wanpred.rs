@@ -111,6 +111,15 @@ fn load_log(path: &str) -> Result<TransferLog, String> {
     TransferLog::load_ulm(Path::new(path)).map_err(|e| format!("loading {path}: {e}"))
 }
 
+/// `--size-mb` as `(MB, bytes)`. A size whose byte count overflows
+/// `u64` is as bad a value as a non-numeric one.
+fn size_arg(args: &Args<'_>) -> Result<(u64, u64), String> {
+    let bad = || "bad --size-mb".to_string();
+    let size_mb: u64 = args.require("--size-mb")?.parse().map_err(|_| bad())?;
+    let size = size_mb.checked_mul(PAPER_MB).ok_or_else(bad)?;
+    Ok((size_mb, size))
+}
+
 fn default_now(log: &TransferLog) -> u64 {
     log.records().iter().map(|r| r.end_unix).max().unwrap_or(0) + 1
 }
@@ -229,11 +238,7 @@ fn cmd_evaluate(raw: &[String]) -> Result<(), String> {
 fn cmd_predict(raw: &[String]) -> Result<(), String> {
     let args = Args::new(raw);
     let log = load_log(args.require("--log")?)?;
-    let size_mb: u64 = args
-        .require("--size-mb")?
-        .parse()
-        .map_err(|_| "bad --size-mb".to_string())?;
-    let size = size_mb * PAPER_MB;
+    let (size_mb, size) = size_arg(&args)?;
     let now: u64 = args.parse("--now", default_now(&log))?;
 
     let mut obs = observations_from_log(&log);
@@ -254,11 +259,11 @@ fn cmd_predict(raw: &[String]) -> Result<(), String> {
     }
     println!("{}", table.render());
 
-    let mut selector = DynamicSelector::new(full_suite(), 15);
+    let mut tournament = Tournament::new(full_suite(), TournamentOptions::default());
     for o in &obs {
-        selector.observe(*o);
+        tournament.observe(*o);
     }
-    if let Some((name, v)) = selector.predict(now, size) {
+    if let Some((name, v)) = tournament.predict(now, size) {
         println!("dynamic selection: {name} -> {v:.0} KB/s");
     }
     Ok(())
@@ -281,11 +286,7 @@ fn cmd_select(raw: &[String]) -> Result<(), String> {
     if specs.is_empty() {
         return Err("need at least one --replica FILE:HOST".to_string());
     }
-    let size_mb: u64 = args
-        .require("--size-mb")?
-        .parse()
-        .map_err(|_| "bad --size-mb".to_string())?;
-    let size = size_mb * PAPER_MB;
+    let (size_mb, size) = size_arg(&args)?;
     let client = args.require("--client")?;
 
     let mut fw = PredictiveFramework::new();

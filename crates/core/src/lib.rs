@@ -18,8 +18,8 @@
 //! | [`storage`] | disk/contention/volume/cache models |
 //! | [`logfmt`] | ULM transfer logs (Figure 3 schema) |
 //! | [`gridftp`] | the instrumented transfer service |
-//! | [`predict`] | the 30-predictor suite and evaluation framework |
-//! | [`nws`] | NWS-style probes and forecasters (Figures 1–2 comparison) |
+//! | [`predict`] | the 30-predictor suite, evaluation framework and online tournament |
+//! | [`nws`] | NWS-style probes (Figures 1–2 comparison) |
 //! | [`infod`] | MDS-like GRIS/GIIS delivery infrastructure |
 //! | [`replica`] | prediction-driven replica selection |
 //! | [`testbed`] | ANL/ISI/LBL campaigns and per-figure computation |

@@ -1,29 +1,18 @@
 //! # wanpred-nws
 //!
-//! A Network Weather Service-style sensing and forecasting subsystem:
-//! periodic lightweight probe transfers over the simulated testbed
-//! ([`probe`]), a streaming forecaster battery with MAE-driven dynamic
-//! selection ([`forecast`]), the combined sensor+forecaster pipeline
-//! ([`sensor`]), and a small time-series container ([`series`]).
+//! A Network Weather Service-style network sensor: periodic lightweight
+//! probe transfers over the simulated testbed ([`probe`]).
 //!
 //! The paper (§2, Figures 1–2) contrasts NWS's 64 KB untuned probes with
 //! instrumented GridFTP transfers: the probes sit below 0.3 MB/s and
 //! mispredict tuned parallel bulk transfers both quantitatively and
 //! qualitatively. This crate exists to regenerate that comparison over
-//! the same simulated links, and to supply the dynamic-selection
-//! technique the paper plans to borrow (§7).
+//! the same simulated links. Campaigns keep the raw measurements;
+//! forecasting from them is `wanpred-predict`'s job.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod forecast;
 pub mod probe;
-pub mod sensor;
-pub mod series;
 
-pub use forecast::{
-    DynamicForecaster, Ewma, Forecaster, LastMeasurement, RunningMean, SlidingMean, SlidingMedian,
-};
 pub use probe::{ProbeAgent, ProbeConfig, ProbeMeasurement};
-pub use sensor::ForecastingSensor;
-pub use series::TimeSeries;

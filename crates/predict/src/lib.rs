@@ -21,14 +21,12 @@
 //!   selects suite, options and an observability sink.
 //! * [`regression`] — covariate regression (file size, stream count,
 //!   buffer size, time of day), the follow-up paper's technique.
-//! * [`selection`] — NWS-style dynamic predictor selection (the paper's
-//!   §7 future work, implemented as an extension).
-//! * [`tournament`] — per-pair online tournament: rolling-MAPE ranking
-//!   over a candidate suite, serving the current winner.
+//! * [`tournament`] — NWS-style dynamic predictor selection (the paper's
+//!   §7 future work, implemented as an extension): a per-pair online
+//!   tournament ranking a candidate suite by rolling MAPE and serving the
+//!   current winner.
 //! * [`hybrid`] — probe-assisted prediction and cold-start cross-path
 //!   extrapolation (the rest of §7, implemented as extensions).
-//! * [`seasonal`] — hour-of-day context filtering, a companion to the
-//!   file-size classification for diurnal paths (extension).
 //! * [`stats`] — shared descriptive statistics.
 //!
 //! ## Quick example
@@ -62,8 +60,6 @@ pub mod observation;
 pub mod predictor;
 pub mod registry;
 pub mod regression;
-pub mod seasonal;
-pub mod selection;
 pub mod stats;
 #[doc(hidden)]
 pub mod testing;
@@ -93,8 +89,6 @@ pub mod prelude {
         predictor_for_spec, regression_predictors, regression_suite, NamedPredictor,
     };
     pub use crate::regression::{RegKind, RegressionPredictor};
-    pub use crate::seasonal::SeasonalPredictor;
-    pub use crate::selection::DynamicSelector;
     pub use crate::tournament::{
         replay_tournament, PairTournament, Tournament, TournamentOptions, TournamentReport,
     };

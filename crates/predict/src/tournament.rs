@@ -1,13 +1,14 @@
 //! Per-pair online tournament: a self-tuning meta-predictor that races a
-//! candidate suite and serves whichever predictor currently wins.
+//! candidate suite and serves whichever predictor currently wins — the
+//! NWS-style "evaluate a number of techniques and choose the most
+//! appropriate one on the fly" extension the paper names as future work
+//! (§4.4, §7).
 //!
-//! Where [`crate::selection::DynamicSelector`] ranks candidates by their
-//! *all-time* running error, the tournament scores each candidate over a
-//! rolling window of its most recent errors
-//! ([`RollingMape`](crate::selection::RollingMape)), so a predictor that
-//! was good last week but mistracks the current regime loses its lead
-//! within one window. The candidate pool defaults to the paper's 30
-//! variants plus the regression family in both flavours
+//! The tournament scores each candidate over a rolling window of its
+//! most recent errors rather than its all-time running error, so a
+//! predictor that was good last week but mistracks the current regime
+//! loses its lead within one window. The candidate pool defaults to the
+//! paper's 30 variants plus the regression family in both flavours
 //! ([`extended_suite`](crate::registry::extended_suite)).
 //!
 //! ## Selection rule
@@ -30,10 +31,10 @@
 //! * candidates that have not scored inside the window rank below every
 //!   scored one (their error is treated as `+inf`);
 //! * equal errors break ties by **lexicographic candidate name** — the
-//!   stable, documented rule shared with the dynamic selector, so the
-//!   winner never depends on suite registration order; a sitting leader
-//!   keeps its seat on an exact tie (a challenger must be strictly
-//!   better, by [`TournamentOptions::min_lead`] relative margin);
+//!   stable, documented rule, so the winner never depends on suite
+//!   registration order; a sitting leader keeps its seat on an exact tie
+//!   (a challenger must be strictly better, by
+//!   [`TournamentOptions::min_lead`] relative margin);
 //! * `total_cmp` keeps the order total; non-finite errors never enter
 //!   the windows in the first place (the `RollingMape` NaN guard).
 //!
@@ -43,7 +44,7 @@
 //! source/destination pair gets its own tournament via
 //! [`PairTournament`], matching the paper's per-pair evaluation.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use wanpred_obs::{names, ObsSink};
 
@@ -55,7 +56,6 @@ use crate::observation::Observation;
 use crate::predictor::{mean_bandwidth, BandwidthSums, PredictorSpec};
 use crate::registry::{extended_suite, NamedPredictor};
 use crate::regression::{self, GramAcc, RegKind, MAX_DIM};
-use crate::selection::RollingMape;
 use crate::stats;
 use crate::window::Window;
 
@@ -110,6 +110,68 @@ impl Default for TournamentOptions {
             class_prior: 10.0,
             seed_champion: Some("MED+C"),
         }
+    }
+}
+
+/// Rolling mean absolute percentage error over the last `window` scored
+/// predictions: one candidate's score on one leaderboard.
+///
+/// Only finite errors are retained ([`record`](RollingMape::record)
+/// drops NaN/infinite inputs), so [`mape`](RollingMape::mape) is always
+/// finite or `None` — an all-zero-measurement stretch, which produces no
+/// scorable errors at all under the shared zero-measurement convention,
+/// simply leaves the window unchanged rather than surfacing NaN.
+#[derive(Debug, Clone)]
+struct RollingMape {
+    window: usize,
+    errs: VecDeque<f64>,
+}
+
+impl RollingMape {
+    /// Rolling window over the last `window` errors (`window >= 1`).
+    fn new(window: usize) -> Self {
+        assert!(window >= 1, "window must hold at least one error");
+        RollingMape {
+            window,
+            // No slots until something scores: a tournament holds one
+            // of these per candidate per board, and most boards of most
+            // pairs stay far below their nominal window.
+            errs: VecDeque::new(),
+        }
+    }
+
+    /// Record one absolute percentage error, evicting the oldest entry
+    /// once the window is full. Non-finite errors are dropped (the NaN
+    /// guard) — they carry no ranking information.
+    fn record(&mut self, err: f64) {
+        if !err.is_finite() {
+            return;
+        }
+        if self.errs.len() == self.window {
+            self.errs.pop_front();
+        } else if self.errs.len() == self.errs.capacity() {
+            // Grow geometrically, but never past the window.
+            let target = (self.errs.capacity() * 2).max(4).min(self.window);
+            self.errs.reserve_exact(target - self.errs.len());
+        }
+        self.errs.push_back(err);
+    }
+
+    /// Mean of the in-window errors; `None` until something scores: a
+    /// front-to-back sum of up to `window` entries (50 on the
+    /// tournament's global board, 400 on a class board by default). A
+    /// sliding-window sum has no bit-exact O(1) form, and leaders are
+    /// ranked on these bits.
+    fn mape(&self) -> Option<f64> {
+        if self.errs.is_empty() {
+            return None;
+        }
+        Some(self.errs.iter().sum::<f64>() / self.errs.len() as f64)
+    }
+
+    /// Number of in-window errors.
+    fn count(&self) -> usize {
+        self.errs.len()
     }
 }
 
@@ -631,6 +693,31 @@ mod tests {
             class_window: window,
             ..TournamentOptions::default()
         }
+    }
+
+    #[test]
+    fn rolling_mape_allocates_on_first_use_and_never_past_its_window() {
+        let mut m = RollingMape::new(400);
+        assert_eq!(m.errs.capacity(), 0, "a fresh board owns no heap slots");
+        m.record(f64::NAN);
+        assert_eq!(m.errs.capacity(), 0, "dropped errors allocate nothing");
+        for i in 0..1_000 {
+            m.record(i as f64);
+            assert!(m.errs.capacity() <= 400);
+        }
+        assert_eq!(m.count(), 400);
+        assert_eq!(m.mape(), Some((600..1_000).sum::<i32>() as f64 / 400.0));
+        let mut one = RollingMape::new(1);
+        one.record(1.0);
+        one.record(3.0);
+        assert_eq!((one.count(), one.mape()), (1, Some(3.0)));
+    }
+
+    #[test]
+    fn predict_before_any_history_declines() {
+        let t = Tournament::new(small_pool(), opts(2, 10));
+        assert!(t.predict(0, PAPER_MB).is_none());
+        assert_eq!(t.winner(), None);
     }
 
     #[test]

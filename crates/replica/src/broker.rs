@@ -103,8 +103,7 @@ pub trait ProbeForecastSource {
 }
 
 /// A [`ProbeForecastSource`] over a table of per-path forecasts, fed by
-/// whatever runs the probes (the campaign driver updates it from its NWS
-/// forecaster battery).
+/// whatever runs the probes.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeForecastTable {
     forecasts: BTreeMap<(String, String), f64>,

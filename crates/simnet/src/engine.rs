@@ -25,7 +25,6 @@ use crate::index::VecMap;
 use crate::network::Network;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::TopologyError;
-use crate::trace::LinkTracer;
 
 /// Identifier of an agent registered with the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -217,7 +216,6 @@ pub struct Engine {
     /// Flow ids are handed out monotonically, so admission appends.
     flow_owner: VecMap<FlowId, AgentId>,
     started: bool,
-    tracer: Option<LinkTracer>,
     events_processed: u64,
     obs: ObsSink,
 }
@@ -241,7 +239,6 @@ impl Engine {
             agents: Vec::new(),
             flow_owner: VecMap::new(),
             started: false,
-            tracer: None,
             events_processed: 0,
             obs: ObsSink::disabled(),
         }
@@ -276,16 +273,6 @@ impl Engine {
             };
             self.queue.push(Reverse(e));
         }
-    }
-
-    /// Attach a link tracer sampling background weights on every load tick.
-    pub fn set_tracer(&mut self, tracer: LinkTracer) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Detach and return the tracer.
-    pub fn take_tracer(&mut self) -> Option<LinkTracer> {
-        self.tracer.take()
     }
 
     /// Current simulation time.
@@ -384,9 +371,6 @@ impl Engine {
                     EventKind::LoadTick => {
                         tally.load_ticks += 1;
                         self.network.load_tick_to(ev.at);
-                        if let Some(tr) = &mut self.tracer {
-                            tr.sample(ev.at, &self.network);
-                        }
                         let tick = self.network.load_tick();
                         self.queue.push(Reverse(Event {
                             at: ev.at + tick,

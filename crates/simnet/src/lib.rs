@@ -57,7 +57,6 @@ pub mod network;
 pub mod rng;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
@@ -70,5 +69,4 @@ pub mod prelude {
     pub use crate::rng::MasterSeed;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{LinkId, NodeId, Topology, TopologyError};
-    pub use crate::trace::{LinkSample, LinkTracer};
 }

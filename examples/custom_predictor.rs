@@ -1,6 +1,6 @@
 //! Extending the predictor suite: implement a custom [`Predictor`]
 //! (a trimmed mean), run it against the paper's 15 on real campaign
-//! logs, and let the NWS-style dynamic selector pick winners on the fly
+//! logs, and let the NWS-style online tournament pick winners on the fly
 //! (the paper's §7 future work).
 //!
 //! Run with: `cargo run --release -p wanpred-core --example custom_predictor`
@@ -74,18 +74,16 @@ fn main() {
         .expect("custom predictor evaluated");
     println!("TRIM25+C ranks #{} of {}", trim_rank + 1, ranked.len());
 
-    // Dynamic selection: stream the log through the selector and report
-    // which technique it would be using at the end.
-    let mut selector = DynamicSelector::new(paper_suite(true), 15);
+    // Dynamic selection: stream the log through a tournament over the same
+    // suite and report which technique it would be using at the end. The
+    // tournament, too, races the custom predictor over its history slice.
+    let mut tournament = Tournament::new(suite, TournamentOptions::default());
     for o in &obs {
-        selector.observe(*o);
+        tournament.observe(*o);
     }
-    let (_, best) = selector.best_candidate();
-    println!(
-        "\ndynamic selector's running winner after {} transfers: {best}",
-        obs.len()
-    );
-    if let Some((used, pred)) = selector.predict(cfg.epoch_unix + 15 * 86_400, 100 * PAPER_MB) {
+    let best = tournament.winner().unwrap_or("-");
+    println!("\ntournament winner after {} transfers: {best}", obs.len());
+    if let Some((used, pred)) = tournament.predict(cfg.epoch_unix + 15 * 86_400, 100 * PAPER_MB) {
         println!("next 100MB-class transfer predicted by {used}: {pred:.0} KB/s");
     }
 }

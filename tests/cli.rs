@@ -134,3 +134,33 @@ fn errors_are_reported_cleanly() {
     assert!(o.status.success());
     assert!(stdout(&o).contains("usage:"));
 }
+
+#[test]
+fn oversized_size_mb_is_a_clean_error() {
+    // 18_014_398_509_482 MB of 1_024_000 bytes is past u64::MAX bytes:
+    // both subcommands must reject it as a bad value, not panic or wrap.
+    let dir = out_dir("size");
+    let o = wanpred(&["campaign", "--days", "1", "--out", dir.to_str().unwrap()]);
+    assert!(o.status.success());
+    let log = dir.join("lbl-anl.ulm");
+    let log_s = log.to_str().unwrap();
+    let too_big = "18014398509482";
+    let replica = format!("{log_s}:lbl.gov");
+    for args in [
+        vec!["predict", "--log", log_s, "--size-mb", too_big],
+        vec![
+            "select",
+            "--replica",
+            &replica,
+            "--size-mb",
+            too_big,
+            "--client",
+            "140.221.65.69",
+        ],
+    ] {
+        let o = wanpred(&args);
+        assert_eq!(o.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(err.contains("bad --size-mb"), "{args:?}: {err}");
+    }
+}

@@ -153,15 +153,15 @@ fn nws_probes_and_gridftp_disagree_as_in_figures_1_and_2() {
 }
 
 #[test]
-fn dynamic_selector_streams_campaign_logs() {
+fn tournament_streams_campaign_logs() {
     let (cfg, result) = campaign(3);
     let obs = observation_series(&result, Pair::IsiAnl);
-    let mut sel = DynamicSelector::new(full_suite(), 15);
+    let mut t = Tournament::with_default_suite(TournamentOptions::default());
     for o in &obs {
-        sel.observe(*o);
+        t.observe(*o);
     }
-    assert_eq!(sel.observed(), obs.len());
-    let (used, pred) = sel
+    assert_eq!(t.observed(), obs.len());
+    let (used, pred) = t
         .predict(cfg.epoch_unix + 4 * 86_400, 500 * PAPER_MB)
         .expect("enough history");
     assert!(!used.is_empty());

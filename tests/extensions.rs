@@ -1,12 +1,10 @@
-//! Integration tests for the beyond-the-paper extensions: seasonal
-//! prediction, the protocol-level client, striped transfers through the
-//! campaign substrate, and the rotating log writer on real logs.
+//! Integration tests for the beyond-the-paper extensions: the
+//! protocol-level client, striped transfers through the campaign
+//! substrate, and the rotating log writer on real logs.
 
 use wanpred_core::gridftp::{ClientSettings, GridFtpClient, TransferKind};
 use wanpred_core::logfmt::{RotatingLogWriter, RotationConfig};
-use wanpred_core::predict::seasonal::SeasonalPredictor;
 use wanpred_core::prelude::*;
-use wanpred_core::testbed::observation_series;
 
 fn campaign(days: u64) -> CampaignResult {
     run_campaign(&CampaignConfig {
@@ -15,32 +13,6 @@ fn campaign(days: u64) -> CampaignResult {
         probes: false,
         ..CampaignConfig::august(321)
     })
-}
-
-#[test]
-fn seasonal_wrapper_answers_inside_the_experiment_window() {
-    let r = campaign(7);
-    let obs = observation_series(&r, Pair::LblAnl);
-    assert!(obs.len() > 50);
-
-    // The campaign transfers all happen 6pm-8am; a seasonal predictor
-    // asked at 10pm (inside the window) answers, one asked at noon has
-    // no matching history and declines.
-    let p = SeasonalPredictor::new(MeanPredictor::new(Window::All), 2);
-    let evening = r.epoch_unix + 8 * 86_400 + 22 * 3_600;
-    let noon = r.epoch_unix + 8 * 86_400 + 12 * 3_600;
-    let at_evening = p.predict(&obs, evening);
-    assert!(at_evening.is_some());
-    assert!(p.predict(&obs, noon).is_none(), "no midday history exists");
-
-    // The seasonal estimate stays within the observed bandwidth range.
-    let v = at_evening.unwrap();
-    let lo = obs
-        .iter()
-        .map(|o| o.bandwidth_kbs)
-        .fold(f64::INFINITY, f64::min);
-    let hi = obs.iter().map(|o| o.bandwidth_kbs).fold(0.0f64, f64::max);
-    assert!(v >= lo && v <= hi);
 }
 
 #[test]

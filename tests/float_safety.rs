@@ -41,14 +41,14 @@ fn evaluate_log_survives_a_nan_observation() {
 }
 
 #[test]
-fn dynamic_selector_survives_a_nan_observation() {
-    let mut sel = DynamicSelector::new(full_suite(), 5);
+fn tournament_survives_a_nan_observation() {
+    let mut t = Tournament::with_default_suite(TournamentOptions::default());
     for i in 0..30u64 {
         let mut bw = 5_000.0 + (i % 5) as f64 * 100.0;
         if i == 12 {
             bw = f64::NAN;
         }
-        sel.observe(Observation {
+        t.observe(Observation {
             at_unix: 996_642_000 + i * 600,
             file_size: 1_000_000_000,
             bandwidth_kbs: bw,
@@ -56,7 +56,8 @@ fn dynamic_selector_survives_a_nan_observation() {
             tcp_buffer: 0,
         });
     }
-    // Ranking by running MAPE must stay total even though one candidate
-    // history is NaN-tainted; prediction must not panic.
-    let _ = sel.predict(996_642_000 + 31 * 600, 1_000_000_000);
+    // Ranking by rolling MAPE must stay total even though every
+    // candidate's history, the regression family's included, is
+    // NaN-tainted; prediction must not panic.
+    let _ = t.predict(996_642_000 + 31 * 600, 1_000_000_000);
 }
