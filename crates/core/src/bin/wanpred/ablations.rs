@@ -1,0 +1,977 @@
+//! Ablations of the design choices DESIGN.md calls out, and the
+//! robustness experiments behind four of the committed `BENCH_*.json`
+//! artifacts (the fifth is `serving`).
+
+use std::time::Instant;
+
+use serde::Serialize;
+use wanpred_core::logfmt::{corrupt_doc, salvage_doc, ChaosConfig, SalvageOptions, TrimPolicy};
+use wanpred_core::obs::names;
+use wanpred_core::prelude::*;
+use wanpred_core::testbed::{fmt_mape, observation_series};
+
+use crate::figures::sequential_gets;
+use crate::registry::{august, round, write_artifact, SEED};
+use crate::Args;
+
+/// `--seed` and `--days` of the four campaign ablations.
+fn seed_and_days(args: &Args<'_>) -> Result<(u64, u64), String> {
+    let days = args.parse("--days", 14)?;
+    if days == 0 {
+        return Err("bad value for --days: 0 (a campaign lasts at least a day)".to_string());
+    }
+    Ok((args.parse("--seed", SEED)?, days))
+}
+
+/// Best and median MAPE of the paper's 30-predictor suite replayed over
+/// `log`.
+fn best_and_median_mape(log: &TransferLog) -> (Option<f64>, Option<f64>) {
+    let reports = Evaluation::builder().build().run_log(log);
+    let mut mapes: Vec<f64> = reports.iter().filter_map(PredictorReport::mape).collect();
+    mapes.sort_by(f64::total_cmp);
+    (mapes.first().copied(), mapes.get(mapes.len() / 2).copied())
+}
+
+/// Replay MAPE (and answered count) of a `predict(history, now, size)`
+/// closure over the targets past `training`, of one class or all.
+fn replay_mape(
+    obs: &[Observation],
+    class: Option<SizeClass>,
+    training: usize,
+    mut predict: impl FnMut(&[Observation], u64, u64) -> Option<f64>,
+) -> (Option<f64>, usize) {
+    let mut pairs = Vec::new();
+    for i in training..obs.len() {
+        let t = obs[i];
+        if class.is_some_and(|c| SizeClass::of_bytes(t.file_size) != c) {
+            continue;
+        }
+        if let Some(p) = predict(&obs[..i], t.at_unix, t.file_size) {
+            pairs.push((t.bandwidth_kbs, p));
+        }
+    }
+    (wanpred_core::predict::stats::mape(&pairs), pairs.len())
+}
+
+/// Count windows (last N) and temporal windows (last T hours) for mean
+/// and median: §6.2 found no decisive advantage in windowing.
+pub(crate) fn windows(_: &Args<'_>) -> Result<(), String> {
+    let result = august();
+
+    let classified = |p: Box<dyn Predictor>| NamedPredictor::new(p, true);
+    let mut suite: Vec<NamedPredictor> = Vec::new();
+    for n in [1usize, 3, 5, 10, 15, 25, 50, 100] {
+        suite.push(classified(Box::new(MeanPredictor::new(Window::LastN(n)))));
+        suite.push(classified(Box::new(MedianPredictor::new(Window::LastN(n)))));
+    }
+    for hours in [1u64, 5, 15, 25, 48, 120, 240] {
+        let window = Window::LastSeconds(hours * 3_600);
+        suite.push(classified(Box::new(MeanPredictor::new(window))));
+    }
+    suite.push(classified(Box::new(MeanPredictor::new(Window::All))));
+    suite.push(classified(Box::new(MedianPredictor::new(Window::All))));
+
+    for pair in Pair::ALL {
+        let obs = observation_series(&result, pair);
+        let reports =
+            Evaluation::replay(&obs, &suite, EvalOptions::default(), &ObsSink::disabled());
+        let mut table = Table::new(format!("window ablation, {}, classified", pair.label()))
+            .headers(["predictor", "MAPE %", "answered", "declined"]);
+        for r in &reports {
+            table.row([
+                r.name.clone(),
+                fmt_mape(r.mape()),
+                r.outcomes.len().to_string(),
+                r.declined.to_string(),
+            ]);
+        }
+        println!("{}", table.render());
+
+        // The headline check: spread between the best and worst windowed
+        // mean (excluding the degenerate N=1).
+        let means: Vec<f64> = reports
+            .iter()
+            .filter(|r| r.name.starts_with("AVG") && !r.name.starts_with("AVG1+"))
+            .filter_map(|r| r.mape())
+            .collect();
+        let min = means.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = means.iter().copied().fold(0.0f64, f64::max);
+        println!(
+            "mean-family spread on {}: {:.1}%..{:.1}% ({:.1} points)\n",
+            pair.label(),
+            min,
+            max,
+            max - min
+        );
+    }
+    println!(
+        "paper (§6.2): no noticeable advantage from sliding windows or time frames\n\
+         on the controlled data — the spread above should be small."
+    );
+    Ok(())
+}
+
+/// Classification granularity: no classes vs the paper's four (§4.3) vs
+/// exact-size history, which is the most homogeneous but the scarcest.
+pub(crate) fn classification(_: &Args<'_>) -> Result<(), String> {
+    let result = august();
+    let paper = |name: &str| predictor_by_name(name).expect("a paper predictor");
+    for pair in Pair::ALL {
+        let obs = observation_series(&result, pair);
+
+        let mut table = Table::new(format!(
+            "classification granularity, {} (August)",
+            pair.label()
+        ))
+        .headers(["estimator", "none", "4 classes", "exact size"]);
+        for name in ["AVG", "AVG25", "MED", "LV"] {
+            let reports = Evaluation::replay(
+                &obs,
+                &[paper(name), paper(&format!("{name}+C"))],
+                EvalOptions::default(),
+                &ObsSink::disabled(),
+            );
+            let plain = paper(name);
+            let (exact, _) = replay_mape(&obs, None, 15, |h, now, size| {
+                let same_size: Vec<Observation> =
+                    h.iter().filter(|o| o.file_size == size).copied().collect();
+                plain.predict(&same_size, now, size)
+            });
+            table.row([
+                name.to_string(),
+                fmt_mape(reports[0].mape()),
+                fmt_mape(reports[1].mape()),
+                fmt_mape(exact),
+            ]);
+        }
+        println!("{}", table.render());
+    }
+    println!(
+        "expected shape: 'none' is worst (mixes size regimes); '4 classes' captures\n\
+         most of the benefit; 'exact size' can edge it out but needs 13x more\n\
+         history to warm up (see the declined counts in ablation_windows)."
+    );
+    Ok(())
+}
+
+/// Replay AVG25+C under a retention policy: after every append the
+/// policy runs, and predictions see only the retained entries.
+fn replay_with_policy(
+    obs: &[Observation],
+    policy: &TrimPolicy,
+    class: SizeClass,
+) -> (Option<f64>, usize) {
+    let predictor = NamedPredictor::new(Box::new(MeanPredictor::new(Window::LastN(25))), true);
+    let mut retained: Vec<Observation> = Vec::new();
+    let mut pairs = Vec::new();
+    for (i, target) in obs.iter().enumerate() {
+        if i >= 15 && SizeClass::of_bytes(target.file_size) == class {
+            if let Some(p) = predictor.predict(&retained, target.at_unix, target.file_size) {
+                pairs.push((target.bandwidth_kbs, p));
+            }
+        }
+        retained.push(*target);
+        apply(policy, &mut retained);
+    }
+    (wanpred_core::predict::stats::mape(&pairs), pairs.len())
+}
+
+/// Apply a `TrimPolicy` to observations by mirroring its log semantics
+/// (observations carry the log's timeline, so the translation is direct).
+fn apply(policy: &TrimPolicy, retained: &mut Vec<Observation>) {
+    match policy {
+        TrimPolicy::KeepAll => {}
+        TrimPolicy::LastRecords(n) => {
+            if retained.len() > *n {
+                retained.drain(..retained.len() - n);
+            }
+        }
+        TrimPolicy::LastSeconds(secs) => {
+            let newest = retained.iter().map(|o| o.at_unix).max().unwrap_or(0);
+            let cutoff = newest.saturating_sub(*secs);
+            retained.retain(|o| o.at_unix >= cutoff);
+        }
+        TrimPolicy::FlushAt(max) => {
+            if retained.len() > *max {
+                retained.clear();
+            }
+        }
+    }
+}
+
+/// Log retention (§3): what NWS-style running windows and NetLogger-style
+/// flush-and-restart cost in prediction accuracy.
+pub(crate) fn log_trim(_: &Args<'_>) -> Result<(), String> {
+    let result = august();
+
+    // Sanity: the observation-level replay matches TrimPolicy on the
+    // actual TransferLog for the count-based policy.
+    let mut log: TransferLog = result.lbl_log.clone();
+    TrimPolicy::LastRecords(50).apply(&mut log);
+    assert_eq!(log.len(), 50.min(result.lbl_log.len()));
+
+    let policies = [
+        ("keep-all", TrimPolicy::KeepAll),
+        ("last 400 records", TrimPolicy::LastRecords(400)),
+        ("last 200 records", TrimPolicy::LastRecords(200)),
+        ("last 100 records", TrimPolicy::LastRecords(100)),
+        ("last 50 records", TrimPolicy::LastRecords(50)),
+        ("last 5 days", TrimPolicy::LastSeconds(5 * 86_400)),
+        ("last 2 days", TrimPolicy::LastSeconds(2 * 86_400)),
+        ("flush at 200", TrimPolicy::FlushAt(200)),
+        ("flush at 100", TrimPolicy::FlushAt(100)),
+    ];
+    for pair in Pair::ALL {
+        let obs = observation_series(&result, pair);
+        let mut table = Table::new(format!("retention vs accuracy, {} (AVG25+C)", pair.label()))
+            .headers(["policy", "100MB", "500MB", "1GB", "n(100MB)"]);
+        for (name, policy) in &policies {
+            let (m100, n100) = replay_with_policy(&obs, policy, SizeClass::C100MB);
+            let (m500, _) = replay_with_policy(&obs, policy, SizeClass::C500MB);
+            let (m1g, _) = replay_with_policy(&obs, policy, SizeClass::C1GB);
+            table.row([
+                name.to_string(),
+                fmt_mape(m100),
+                fmt_mape(m500),
+                fmt_mape(m1g),
+                n100.to_string(),
+            ]);
+        }
+        println!("{}", table.render());
+    }
+    println!(
+        "expected shape: windowed retention costs little accuracy (old data has\n\
+         less predictive relevance, exactly the paper's premise for trimming);\n\
+         aggressive flush-and-restart briefly starves the per-class windows after\n\
+         each flush, showing up as slightly higher error."
+    );
+    Ok(())
+}
+
+/// The pair's NWS probe series, as Figures 1–2 plot it.
+fn probe_points(result: &CampaignResult, pair: Pair) -> Vec<ProbePoint> {
+    let nws = fig01_02(result, pair).nws.into_iter();
+    nws.map(|(at_unix, value)| ProbePoint { at_unix, value })
+        .collect()
+}
+
+/// §7 future work: `AVG25+C` (history alone) vs `HYBRID` (scaled by the
+/// relative probe level) vs `NWSREG` (bandwidth regressed on the probe
+/// reading), then ISI-ANL cold-started from an LBL-ANL fit.
+pub(crate) fn hybrid(_: &Args<'_>) -> Result<(), String> {
+    let result = august();
+    let avg25c = || NamedPredictor::new(Box::new(MeanPredictor::new(Window::LastN(25))), true);
+
+    for pair in Pair::ALL {
+        let obs = observation_series(&result, pair);
+        let probes = probe_points(&result, pair);
+
+        let mut table = Table::new(format!("hybrid prediction, {} (August)", pair.label()))
+            .headers(["class", "AVG25+C", "HYBRID", "NWSREG", "n"]);
+
+        for class in SizeClass::ALL {
+            let base_pred = avg25c();
+            let (base, n) = replay_mape(&obs, Some(class), 15, |h, now, size| {
+                base_pred.predict(h, now, size)
+            });
+
+            let hybrid = ConditionScaled::default();
+            let (hyb, _) = replay_mape(&obs, Some(class), 15, |h, now, size| {
+                hybrid.predict(h, &probes, now, size)
+            });
+
+            let reg = ProbeRegression::default();
+            let (nwsreg, _) = replay_mape(&obs, Some(class), 15, |h, now, _size| {
+                let fitted = reg.fit(h, &probes, Some(class))?;
+                reg.predict(&fitted, &probes, now)
+            });
+
+            table.row([
+                class.label().to_string(),
+                fmt_mape(base),
+                fmt_mape(hyb),
+                fmt_mape(nwsreg),
+                n.to_string(),
+            ]);
+        }
+        println!("{}", table.render());
+    }
+
+    let lbl_obs = observation_series(&result, Pair::LblAnl);
+    let lbl_probes = probe_points(&result, Pair::LblAnl);
+    let isi_obs = observation_series(&result, Pair::IsiAnl);
+    let isi_probes = probe_points(&result, Pair::IsiAnl);
+    let reg = ProbeRegression::default();
+
+    let mut table =
+        Table::new("cold start: ISI-ANL predicted from an LBL-ANL model + ISI probes only")
+            .headers(["class", "cold-start MAPE", "informed AVG25+C MAPE", "n"]);
+    for class in SizeClass::ALL {
+        let donor = reg.fit(&lbl_obs, &lbl_probes, Some(class));
+        let (cold, n) = replay_mape(&isi_obs, Some(class), 0, |_h, now, _size| {
+            donor.and_then(|d| reg.cold_start(&d, &isi_probes, now))
+        });
+        let base_pred = avg25c();
+        let (informed, _) = replay_mape(&isi_obs, Some(class), 15, |h, now, size| {
+            base_pred.predict(h, now, size)
+        });
+        table.row([
+            class.label().to_string(),
+            fmt_mape(cold),
+            fmt_mape(informed),
+            n.to_string(),
+        ]);
+    }
+    println!("{}", table.render());
+    println!(
+        "observed shape: HYBRID modestly improves the base on >=100MB classes;\n\
+         NWSREG — probes *calibrated against transfer history*, which is precisely\n\
+         the paper's §7 proposal — wins decisively there, because current probe\n\
+         readings track current path load. (Raw, uncalibrated probe levels remain\n\
+         useless, per Figures 1-2; in our simulator the probe->bandwidth relation\n\
+         is cleaner than reality, so treat the margin as an upper bound.)\n\
+         Cold start is a usable bootstrap but loses to path-local history."
+    );
+    Ok(())
+}
+
+/// The next 500MB-class measured bandwidth at or after `t` on a pair.
+fn next_measured(obs: &[Observation], t: u64) -> Option<f64> {
+    obs.iter()
+        .find(|o| o.at_unix >= t && SizeClass::of_bytes(o.file_size) == SizeClass::C500MB)
+        .map(|o| o.bandwidth_kbs)
+}
+
+/// Replica-selection gain, the benefit the paper's introduction promises:
+/// each evening hour, publish the logs so far and ask the broker (and the
+/// baseline policies) where to fetch a 500MB-class file from; score each
+/// policy by what the chosen path delivered in its next such transfer.
+pub(crate) fn replica_gain(_: &Args<'_>) -> Result<(), String> {
+    let result = august();
+    let lbl_obs = observation_series(&result, Pair::LblAnl);
+    let isi_obs = observation_series(&result, Pair::IsiAnl);
+
+    let sites = [
+        ("dpsslx04.lbl.gov", "131.243.2.11", &result.lbl_log),
+        ("jet.isi.edu", "128.9.160.11", &result.isi_log),
+    ];
+    let mut policies: Vec<(&str, SelectionPolicy)> = vec![
+        (
+            "predicted-bandwidth",
+            SelectionPolicy::predicted_bandwidth(),
+        ),
+        ("random", SelectionPolicy::random(1)),
+        ("round-robin", SelectionPolicy::round_robin()),
+        ("first-listed", SelectionPolicy::first_listed()),
+    ];
+    let mut achieved: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
+    let mut oracle: Vec<f64> = Vec::new();
+
+    // Hourly decisions inside the experiment window, days 3..14 (enough
+    // warm-up history; ~150 decisions keep baseline noise small).
+    for day in 3..14u64 {
+        for h in 18..32u64 {
+            let now = result.epoch_unix + day * 86_400 + h * 3_600;
+            let (Some(lbl_truth), Some(isi_truth)) =
+                (next_measured(&lbl_obs, now), next_measured(&isi_obs, now))
+            else {
+                continue;
+            };
+            oracle.push(lbl_truth.max(isi_truth));
+
+            let mut fw = PredictiveFramework::new();
+            for (host, address, log) in sites {
+                let so_far = log.records().iter().filter(|r| r.end_unix <= now);
+                fw.publish_server_log(host, address, so_far.cloned().collect(), now);
+            }
+            for (host, _, _) in sites {
+                fw.register_replica(
+                    "lfn://x/500MB",
+                    PhysicalReplica {
+                        host: host.into(),
+                        path: "/home/ftp/vazhkuda/500MB".into(),
+                        size: 512_000_000,
+                    },
+                )
+                .expect("consistent sizes");
+            }
+            for (i, (_, policy)) in policies.iter_mut().enumerate() {
+                let sel = fw
+                    .select_replica_with("140.221.65.69", "lfn://x/500MB", policy, now)
+                    .expect("replicas registered");
+                let got = if sel.replica().host == sites[0].0 {
+                    lbl_truth
+                } else {
+                    isi_truth
+                };
+                achieved[i].push(got);
+            }
+        }
+    }
+
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    let oracle_mean = mean(&oracle);
+    let mut table = Table::new(format!(
+        "replica-selection gain over {} decisions (500MB class)",
+        oracle.len()
+    ))
+    .headers(["policy", "mean achieved KB/s", "% of oracle"]);
+    for ((name, _), got) in policies.iter().zip(&achieved) {
+        let m = mean(got);
+        table.row([
+            name.to_string(),
+            format!("{m:.0}"),
+            format!("{:.1}", 100.0 * m / oracle_mean),
+        ]);
+    }
+    table.row([
+        "oracle (hindsight)".to_string(),
+        format!("{oracle_mean:.0}"),
+        "100.0".into(),
+    ]);
+    println!("{}", table.render());
+    println!(
+        "expected shape: predicted-bandwidth beats the uninformed baselines (random,\n\
+         round-robin) by steering to the less-loaded path. With per-class AVG25\n\
+         predictors the broker mostly converges on the long-run-best site, so it can\n\
+         coincide with first-listed when that site happens to be listed first — the\n\
+         paper's predictors are deliberately simple (§4), not load-tracking."
+    );
+    Ok(())
+}
+
+/// Transfer tuning (§6.1): why the paper used 8 streams and 1 MB
+/// buffers. Sweeps streams × per-stream buffer for a 250 MB GET on a
+/// quiet and on a loaded LBL–ANL path.
+pub(crate) fn tuning(_: &Args<'_>) -> Result<(), String> {
+    let streams = [1u32, 2, 4, 8, 16];
+    let buffers: [(u64, &str); 4] = [
+        (16 * 1024, "16KB"),
+        (128 * 1024, "128KB"),
+        (1_000_000, "1MB"),
+        (4_000_000, "4MB"),
+    ];
+
+    for quiet in [true, false] {
+        let label = if quiet {
+            "quiet path (no cross traffic)"
+        } else {
+            "loaded path (paper's conditions, t=1s into the campaign)"
+        };
+        let mut table = Table::new(format!("250MB GET bandwidth in KB/s, {label}")).headers(
+            ["streams \\ buffer"]
+                .into_iter()
+                .map(String::from)
+                .chain(buffers.iter().map(|(_, n)| n.to_string()))
+                .collect::<Vec<_>>(),
+        );
+        for &s in &streams {
+            let mut row = vec![s.to_string()];
+            for &(b, _) in &buffers {
+                let tb = build_testbed(MasterSeed(17), quiet);
+                let (_, done) = sequential_gets(tb, 996_642_000, s, b, &["250MB"], 4 * 3_600);
+                let kbs = done.first().map(|c| c.bandwidth_kbs).unwrap_or(f64::NAN);
+                row.push(format!("{kbs:.0}"));
+            }
+            table.row(row);
+        }
+        println!("{}", table.render());
+    }
+    println!(
+        "expected shape: the 16KB column is window-limited (~streams * 16KB/RTT)\n\
+         regardless of parallelism; with >=1MB buffers a single stream already\n\
+         reaches its fair share and extra streams only help against competing\n\
+         load (weight = streams). The paper's 8x1MB choice sits where both\n\
+         effects saturate; storage (40 MB/s disk) caps the quiet-path ceiling."
+    );
+    Ok(())
+}
+
+#[derive(Serialize)]
+struct FaultsArtifact {
+    days: u64,
+    seed: u64,
+    fault_events: usize,
+    retries: usize,
+    failed_transfers: usize,
+    /// Always `null`: a run given `--chaos` writes no artifact.
+    chaos: (),
+    results: Vec<FaultsRow>,
+}
+
+#[derive(Serialize)]
+struct FaultsRow {
+    pair: &'static str,
+    network: &'static str,
+    best_mape: Option<f64>,
+    median_mape: Option<f64>,
+    transfers: usize,
+}
+
+/// The August campaign twice from one seed, clean and under the
+/// calibrated fault profile with the default retry policy, scored by the
+/// 30-predictor suite. `--chaos RATE` also corrupts the faulty run's logs
+/// and scores what strict salvage recovers.
+pub(crate) fn faults(args: &Args<'_>) -> Result<(), String> {
+    let (seed, days) = seed_and_days(args)?;
+    let chaos: Option<f64> = args
+        .get("--chaos")
+        .map(|_| args.parse("--chaos", 0.0))
+        .transpose()?;
+    if let Some(rate) = chaos.filter(|r| !(0.0..=1.0).contains(r)) {
+        return Err(format!("bad value for --chaos: {rate} (a rate in [0, 1])"));
+    }
+
+    let base = CampaignConfig {
+        duration: SimDuration::from_days(days),
+        probes: false,
+        ..CampaignConfig::august(seed)
+    };
+    let clean = run_campaign(&base);
+    let mut faulty_cfg = base.clone().with_faults();
+    if let Some(rate) = chaos {
+        faulty_cfg = faulty_cfg.with_chaos(rate);
+    }
+    let faulty = run_campaign(&faulty_cfg);
+
+    assert_eq!(clean.fault_events, 0);
+    assert!(faulty.fault_events > 0, "fault schedule came up empty");
+
+    println!(
+        "campaign: {days} days, seed {seed}; faulty run scheduled {} fault \
+         actions, saw {} retries and abandoned {} transfers\n",
+        faulty.fault_events, faulty.retries, faulty.failed_transfers
+    );
+    if let Some(rate) = chaos {
+        for pair in Pair::ALL {
+            let report = faulty.salvage(pair).expect("chaos was enabled");
+            println!(
+                "chaos {rate}: {} salvage kept {} records, quarantined {} lines \
+                 ({:.1}% recovery)",
+                pair.label(),
+                report.kept,
+                report.quarantined.len(),
+                report.recovery_fraction() * 100.0
+            );
+        }
+        println!();
+    }
+
+    let mut table = Table::new("predictor accuracy, clean vs faulty logs (MAPE %)").headers([
+        "pair",
+        "network",
+        "best",
+        "median",
+        "transfers",
+    ]);
+    let mut results = Vec::new();
+    for pair in Pair::ALL {
+        for (network, result) in [("clean", &clean), ("faulty", &faulty)] {
+            let (best, median) = best_and_median_mape(result.log(pair));
+            let transfers = result.log(pair).len();
+            table.row([
+                pair.label().to_string(),
+                network.to_string(),
+                fmt_mape(best),
+                fmt_mape(median),
+                transfers.to_string(),
+            ]);
+            results.push(FaultsRow {
+                pair: pair.label(),
+                network,
+                best_mape: best.map(|m| round(m, 2)),
+                median_mape: median.map(|m| round(m, 2)),
+                transfers,
+            });
+        }
+    }
+    println!("{}", table.render());
+    println!(
+        "expected shape: the faulty logs keep the predictors usable — recovered\n\
+         transfers stretch the bandwidth tail, so errors grow by a factor, they\n\
+         don't explode — which is the operating regime the paper's log-based\n\
+         predictors were built for."
+    );
+
+    let artifact = FaultsArtifact {
+        days,
+        seed,
+        fault_events: faulty.fault_events,
+        retries: faulty.retries,
+        failed_transfers: faulty.failed_transfers,
+        chaos: (),
+        results,
+    };
+    write_artifact(args, "BENCH_faults.json", &artifact)
+}
+
+/// Corruption rates the salvage ablation sweeps: clean through damage
+/// well past the 5 % acceptance point.
+const RATES: [f64; 5] = [0.0, 0.01, 0.05, 0.10, 0.20];
+
+#[derive(Serialize)]
+struct SalvageArtifact {
+    days: u64,
+    seed: u64,
+    rates: [f64; 5],
+    results: Vec<SalvageRow>,
+}
+
+#[derive(Serialize)]
+struct SalvageRow {
+    pair: &'static str,
+    rate: f64,
+    original: usize,
+    kept: usize,
+    quarantined: usize,
+    best_mape: Option<f64>,
+    median_mape: Option<f64>,
+}
+
+/// Each pair's checksummed log damaged at a sweep of rates, strict-
+/// salvaged and scored by the 30-predictor suite. The salvage wall time
+/// is printed, not committed: it is no function of the seed.
+pub(crate) fn salvage_sweep(args: &Args<'_>) -> Result<(), String> {
+    let (seed, days) = seed_and_days(args)?;
+
+    let clean = run_campaign(&CampaignConfig {
+        duration: SimDuration::from_days(days),
+        probes: false,
+        ..CampaignConfig::august(seed)
+    });
+    println!(
+        "campaign: {days} days, seed {seed}; sweeping corruption rates {RATES:?} \
+         over the checksummed logs\n"
+    );
+
+    let mut table = Table::new("salvaged-log predictor accuracy by corruption rate").headers([
+        "pair",
+        "rate",
+        "recovered",
+        "quarantined",
+        "salvage µs",
+        "best MAPE",
+        "median MAPE",
+    ]);
+    let mut results = Vec::new();
+    for pair in Pair::ALL {
+        let original = clean.log(pair).len();
+        let doc = clean.log(pair).to_ulm_string_checksummed();
+        for rate in RATES {
+            let chaos_seed =
+                MasterSeed(seed).derive_seed(&format!("salvage.{}.{rate}", pair.label()));
+            let (damaged, _chaos) = corrupt_doc(&doc, &ChaosConfig::new(rate, chaos_seed));
+            let start = Instant::now();
+            let (log, report) = salvage_doc(&damaged, &SalvageOptions::strict());
+            let salvage_micros = start.elapsed().as_micros();
+            let (best, median) = best_and_median_mape(&log);
+            table.row([
+                pair.label().to_string(),
+                format!("{:.0}%", rate * 100.0),
+                format!("{}/{}", report.kept, original),
+                report.quarantined.len().to_string(),
+                salvage_micros.to_string(),
+                fmt_mape(best),
+                fmt_mape(median),
+            ]);
+            results.push(SalvageRow {
+                pair: pair.label(),
+                rate,
+                original,
+                kept: report.kept,
+                quarantined: report.quarantined.len(),
+                best_mape: best.map(|m| round(m, 2)),
+                median_mape: median.map(|m| round(m, 2)),
+            });
+        }
+    }
+    println!("{}", table.render());
+    println!(
+        "expected shape: at the acceptance point (5% corruption) strict salvage\n\
+         keeps ≥95% of the records and the suite's error moves by fractions of a\n\
+         point, because the paper's log-replay predictors only need a dense —\n\
+         not perfect — observation history."
+    );
+
+    let artifact = SalvageArtifact {
+        days,
+        seed,
+        rates: RATES,
+        results,
+    };
+    write_artifact(args, "BENCH_salvage.json", &artifact)
+}
+
+#[derive(Serialize)]
+struct TournamentArtifact {
+    days: u64,
+    seed: u64,
+    candidates: usize,
+    pairs: Vec<TournamentRow>,
+    replay_deterministic: bool,
+}
+
+#[derive(Serialize)]
+struct TournamentRow {
+    pair: &'static str,
+    best_fixed: String,
+    best_fixed_mape: f64,
+    tournament_mape: f64,
+    switches: u64,
+    final_winner: String,
+    tournament_leq_best_fixed: bool,
+}
+
+/// The per-pair tournament vs the best of the fixed 30 chosen in
+/// hindsight, December campaign. Each replay runs twice and must serve
+/// bit-identical predictions, so it is also a determinism gate.
+pub(crate) fn tournament(args: &Args<'_>) -> Result<(), String> {
+    let (seed, days) = seed_and_days(args)?;
+
+    let result = run_campaign(
+        &CampaignConfig::builder(seed)
+            .december()
+            .duration_days(days)
+            .build(),
+    );
+    println!("December campaign: {days} days, seed {seed}\n");
+
+    let mut pairs = Vec::new();
+    let mut table = Table::new("tournament vs best fixed predictor (MAPE, %)").headers([
+        "pair",
+        "best fixed",
+        "fixed MAPE",
+        "TOURN MAPE",
+        "switches",
+        "final winner",
+    ]);
+    for pair in Pair::ALL {
+        let series = observation_series(&result, pair);
+
+        // The paper's 30, scored the standard way; the hindsight bar is
+        // the lowest per-pair MAPE among them (ties by name).
+        let reports = Evaluation::replay(
+            &series,
+            &full_suite(),
+            EvalOptions::default(),
+            &ObsSink::disabled(),
+        );
+        let (best_name, best_mape) = reports
+            .iter()
+            .filter_map(|r| r.mape().map(|m| (r.name.as_str(), m)))
+            .min_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(b.0)))
+            .expect("some fixed predictor answers");
+
+        let sink = ObsSink::enabled();
+        let out = replay_tournament(
+            &series,
+            Tournament::with_default_suite(TournamentOptions::default()),
+            &sink,
+        );
+        let tourn_mape = out.report.mape().expect("tournament answers");
+
+        // Determinism gate: a fresh second replay over the same series
+        // must serve bit-identical predictions and switch identically.
+        let rerun = replay_tournament(
+            &series,
+            Tournament::with_default_suite(TournamentOptions::default()),
+            &ObsSink::disabled(),
+        );
+        assert_eq!(out.report.outcomes.len(), rerun.report.outcomes.len());
+        for (a, b) in out.report.outcomes.iter().zip(&rerun.report.outcomes) {
+            assert_eq!(
+                a.predicted.to_bits(),
+                b.predicted.to_bits(),
+                "nondeterministic tournament replay at t={}",
+                a.at_unix
+            );
+        }
+        assert_eq!(out.switches, rerun.switches, "nondeterministic switching");
+        assert_eq!(out.final_winner, rerun.final_winner);
+        assert_eq!(
+            sink.snapshot().counter(names::PREDICT_TOURNAMENT_SWITCHES),
+            out.switches
+        );
+
+        let winner = out.final_winner.clone().unwrap_or_else(|| "-".into());
+        table.row([
+            pair.label().to_string(),
+            best_name.to_string(),
+            fmt_mape(Some(best_mape)),
+            fmt_mape(Some(tourn_mape)),
+            out.switches.to_string(),
+            winner.clone(),
+        ]);
+        pairs.push(TournamentRow {
+            pair: pair.label(),
+            best_fixed: best_name.to_string(),
+            best_fixed_mape: round(best_mape, 4),
+            tournament_mape: round(tourn_mape, 4),
+            switches: out.switches,
+            final_winner: winner,
+            tournament_leq_best_fixed: tourn_mape <= best_mape,
+        });
+    }
+    println!("{}", table.render());
+    println!(
+        "expected shape: the tournament matches or beats the hindsight-best fixed\n\
+         predictor on every pair — it converges to the same winner on stable paths\n\
+         and switches away faster than any fixed choice when a regime moves."
+    );
+
+    let artifact = TournamentArtifact {
+        days,
+        seed,
+        candidates: extended_suite().len(),
+        pairs,
+        replay_deterministic: true,
+    };
+    write_artifact(args, "BENCH_tournament.json", &artifact)
+}
+
+#[derive(Serialize)]
+struct CoallocArtifact {
+    days: u64,
+    seed: u64,
+    results: Vec<CoallocRow>,
+}
+
+#[derive(Serialize)]
+struct CoallocRow {
+    network: &'static str,
+    k: usize,
+    completed: usize,
+    failed: usize,
+    goodput_kbs: f64,
+    stripes: u64,
+    rebalances: u64,
+    bytes_salvaged: u64,
+    tiling_violations: usize,
+}
+
+/// Striping over the broker's top k = 2 sources with failover vs the
+/// single best (k = 1, no failover target), clean and under an aggressive
+/// kill schedule. Log corruption never reaches the co-allocating broker's
+/// learning path, so a chaos network would repeat the faulty rows;
+/// `tests/chaos_differential.rs` checks chaos × coalloc tiling.
+pub(crate) fn coalloc(args: &Args<'_>) -> Result<(), String> {
+    let (seed, days) = seed_and_days(args)?;
+
+    let mut cells: Vec<(&str, CoallocSummary)> = Vec::new();
+    for network in ["clean", "faulty"] {
+        for k in [1usize, 2] {
+            let mut b = CampaignConfig::builder(seed)
+                .duration_days(days)
+                .probes(false)
+                .coalloc(k);
+            if network == "faulty" {
+                // No retry policy: the first kill is a stripe's death, so
+                // every fault that lands mid-transfer exercises failover
+                // (with a retry budget the manager resumes in place first
+                // and only multi-kill stripes reach the co-allocator). The
+                // kill rate is the campaign tests': even short runs see
+                // kills land on in-flight stripes.
+                b = b.faults(FaultConfig {
+                    kill_mean_interarrival: SimDuration::from_mins(40),
+                    ..FaultConfig::wan_default()
+                });
+            }
+            let summary = run_campaign(&b.build()).coalloc.expect("coalloc mode");
+            cells.push((network, summary));
+        }
+    }
+
+    let mut table = Table::new("co-allocation vs single-best (August workload)").headers([
+        "network",
+        "k",
+        "completed",
+        "failed",
+        "goodput KB/s",
+        "stripes",
+        "rebalances",
+        "salvaged MB",
+    ]);
+    for (network, s) in &cells {
+        table.row([
+            network.to_string(),
+            s.k.to_string(),
+            s.completed.to_string(),
+            s.failed.to_string(),
+            format!("{:.0}", s.goodput_kbs()),
+            s.stripes.to_string(),
+            s.rebalances.to_string(),
+            format!("{:.1}", s.bytes_salvaged as f64 / 1e6),
+        ]);
+    }
+    println!("{}", table.render());
+    println!(
+        "expected shape: on every network k=2 moves the same workload at higher\n\
+         goodput (both WAN paths carry chunks sized by the predicted bandwidth);\n\
+         under faults the single-best baseline abandons killed transfers while\n\
+         k=2 re-plans the dead source's remaining bytes onto the survivor —\n\
+         salvaged bytes are kept, never re-fetched (tiling_violations = 0)."
+    );
+
+    // The headline claims, enforced: k=2 must complete faulty campaigns
+    // with higher goodput and fewer failures than single-best, and no
+    // completed transfer may double-fetch a byte range.
+    let get = |network: &str, k: usize| -> &CoallocSummary {
+        &cells
+            .iter()
+            .find(|(n, s)| *n == network && s.k == k)
+            .expect("scenario ran")
+            .1
+    };
+    for (network, s) in &cells {
+        assert_eq!(
+            s.tiling_violations, 0,
+            "{network} k={}: byte range double-counted or dropped",
+            s.k
+        );
+    }
+    for network in ["clean", "faulty"] {
+        let (s1, s2) = (get(network, 1), get(network, 2));
+        assert!(
+            s2.goodput_kbs() > s1.goodput_kbs(),
+            "{network}: k=2 goodput {:.0} must beat k=1 {:.0}",
+            s2.goodput_kbs(),
+            s1.goodput_kbs()
+        );
+    }
+    let (s1, s2) = (get("faulty", 1), get("faulty", 2));
+    assert!(
+        s1.failed > 0,
+        "faulty: the kill schedule never felled a k=1 transfer"
+    );
+    assert!(
+        s2.failed < s1.failed,
+        "faulty: k=2 failed {} must undercut k=1 {}",
+        s2.failed,
+        s1.failed
+    );
+    assert!(
+        s2.rebalances > 0 && s2.bytes_salvaged > 0,
+        "faulty: kills must trigger resume-from-offset rebalances"
+    );
+
+    let results = cells
+        .iter()
+        .map(|(network, s)| CoallocRow {
+            network,
+            k: s.k,
+            completed: s.completed,
+            failed: s.failed,
+            goodput_kbs: round(s.goodput_kbs(), 1),
+            stripes: s.stripes,
+            rebalances: s.rebalances,
+            bytes_salvaged: s.bytes_salvaged,
+            tiling_violations: s.tiling_violations,
+        })
+        .collect();
+    let artifact = CoallocArtifact {
+        days,
+        seed,
+        results,
+    };
+    write_artifact(args, "BENCH_coalloc.json", &artifact)
+}

@@ -15,10 +15,17 @@
 //!     print the information provider's LDIF for a log
 //! wanpred select --replica FILE:HOST ... --size-mb N --client ADDR [--now UNIX]
 //!     broker decision across several servers' logs
+//! wanpred figure [ID [FLAGS]] / wanpred ablate [ID [FLAGS]]
+//!     regenerate a paper figure or run an ablation; no ID lists the ids
 //! ```
 //!
 //! Every subcommand works on the paper's ULM `Keyword=Value` log format
 //! (what the `campaign` subcommand and the instrumented servers emit).
+
+mod ablations;
+mod figures;
+mod registry;
+mod serving;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -39,8 +46,10 @@ fn main() -> ExitCode {
         "predict" => cmd_predict(rest),
         "provider" => cmd_provider(rest),
         "select" => cmd_select(rest),
+        "figure" => registry::dispatch("figure", registry::FIGURES, rest),
+        "ablate" => registry::dispatch("ablate", registry::ABLATIONS, rest),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            println!("{USAGE}\n\n{}", registry::help());
             Ok(())
         }
         other => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
@@ -61,7 +70,9 @@ const USAGE: &str = "usage:
   wanpred predict  --log FILE --size-mb N [--now UNIX]
   wanpred provider --log FILE --host NAME --address IP [--now UNIX]
   wanpred select   --replica FILE:HOST [--replica FILE:HOST ...]
-                   --size-mb N --client ADDR [--now UNIX]";
+                   --size-mb N --client ADDR [--now UNIX]
+  wanpred figure   [ID [FLAGS]]    (no ID: list the figure ids)
+  wanpred ablate   [ID [FLAGS]]    (no ID: list the ablation ids)";
 
 /// Minimal `--key value` argument map with flag support.
 struct Args<'a> {
@@ -95,6 +106,11 @@ impl<'a> Args<'a> {
         out
     }
 
+    /// True if the value-less `flag` is present.
+    fn has(&self, flag: &str) -> bool {
+        self.raw.iter().any(|a| a == flag)
+    }
+
     fn require(&self, key: &str) -> Result<&'a str, String> {
         self.get(key).ok_or_else(|| format!("missing {key}"))
     }
@@ -118,6 +134,16 @@ fn size_arg(args: &Args<'_>) -> Result<(u64, u64), String> {
     let size_mb: u64 = args.require("--size-mb")?.parse().map_err(|_| bad())?;
     let size = size_mb.checked_mul(PAPER_MB).ok_or_else(bad)?;
     Ok((size_mb, size))
+}
+
+/// `--class 10mb|100mb|500mb|1gb`, if given.
+fn class_arg(args: &Args<'_>) -> Result<Option<SizeClass>, String> {
+    args.get("--class")
+        .map(|label| {
+            SizeClass::parse_label(label)
+                .ok_or_else(|| format!("unknown class {label:?}; use 10mb|100mb|500mb|1gb"))
+        })
+        .transpose()
 }
 
 fn default_now(log: &TransferLog) -> u64 {
@@ -173,12 +199,7 @@ fn cmd_evaluate(raw: &[String]) -> Result<(), String> {
     let args = Args::new(raw);
     let log = load_log(args.require("--log")?)?;
     let training: usize = args.parse("--training", 15)?;
-    let class = match args.get("--class") {
-        None => None,
-        Some(label) => {
-            Some(SizeClass::parse_label(label).ok_or_else(|| format!("unknown class {label:?}"))?)
-        }
-    };
+    let class = class_arg(&args)?;
     let names = args.get_all("--predictor");
     let suite = if names.is_empty() {
         full_suite()
@@ -341,11 +362,13 @@ mod tests {
 
     #[test]
     fn args_get_and_require() {
-        let raw = v(&["--log", "a.ulm", "--size-mb", "100"]);
+        let raw = v(&["--log", "a.ulm", "--csv", "--size-mb", "100"]);
         let a = Args::new(&raw);
         assert_eq!(a.get("--log"), Some("a.ulm"));
         assert_eq!(a.require("--size-mb").unwrap(), "100");
         assert!(a.require("--client").is_err());
+        assert!(a.has("--csv"));
+        assert!(!a.has("--smoke"));
     }
 
     #[test]

@@ -1,40 +1,29 @@
-//! Serving-layer ablation: the sharded snapshot server vs the
-//! pre-`serve` architecture (every inquiry behind one directory lock,
-//! re-filtering provider output inline), on identical registrant sets.
-//!
-//! Four phases:
-//!
-//! 1. **Correctness** — for every filter in the serving pool, the
-//!    sharded server's answer must be the byte-identical entry set the
-//!    unsharded GIIS oracle produces over the same site GRISes.
-//! 2. **Degraded mode** — one registrant's lease is allowed to die
-//!    mid-run; every post-death inquiry must keep returning its entries
-//!    with `stalenesssecs` stamped exactly (serve-stale, never a stall).
-//!    Any miss is a *stale violation* and fails the run.
-//! 3. **Modeled open-loop load** — seeded Poisson arrivals through the
-//!    M/M/c admission model on sim time: sustained QPS, p50/p95/p99
-//!    latency, shed/coalesce counts, all replayed twice and asserted
-//!    byte-identical (obs snapshots included).
-//! 4. **Wall-clock throughput** — reader threads hammer both servers
-//!    for a fixed wall window; the sharded server must beat the locked
-//!    directory by ≥3x QPS (asserted in full runs, reported in smoke).
-//!
-//! Writes `BENCH_serving.json` at the repo root. `--smoke` shrinks the
-//! workload for CI and skips only the wall-clock speedup assertion.
+//! Serving-layer ablation: the sharded snapshot server vs the pre-`serve`
+//! architecture (every inquiry behind one directory lock, re-filtering
+//! provider output inline), on identical registrant sets, in four phases:
+//! answers byte-identical to the unsharded GIIS oracle; a dead registrant
+//! served stale with an exact `stalenesssecs`, never a stall; seeded
+//! open-loop load through the M/M/c admission model, replayed
+//! byte-identically; and wall-clock QPS, where the sharded server must
+//! beat the locked directory by ≥3x (not asserted under `--smoke`, which
+//! also shrinks the workload). `BENCH_serving.json` holds the first three
+//! phases, which are functions of the seed; wall-clock numbers are printed.
 
-use std::env;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-use wanpred_bench::{arg_value, DEFAULT_SEED};
+use serde::Serialize;
 use wanpred_core::infod::{
-    run_open_loop, Dn, Giis, GridFtpPerfProvider, Gris, InquiryRequest, InquiryService,
-    OpenLoopConfig, ProviderConfig, Registration, ServeConfig, ShardedServer,
+    run_open_loop, AdmissionConfig, Dn, Giis, GridFtpPerfProvider, Gris, InquiryError,
+    InquiryRequest, InquiryResponse, InquiryService, OpenLoopConfig, ProviderConfig, Registration,
+    ServeConfig, ShardedServer,
 };
-use wanpred_obs::ObsSink;
-use wanpred_testbed::{serving_filters, serving_now_unix, serving_sites, ServingSite, Table};
+use wanpred_core::obs::ObsSink;
+use wanpred_core::testbed::{serving_filters, serving_now_unix, serving_sites, ServingSite, Table};
+
+use crate::registry::{round, write_artifact, SEED};
+use crate::Args;
 
 /// Build one GRIS per synthetic site, shared (via `Arc`) between the
 /// sharded server and the oracle so both see identical provider state.
@@ -77,10 +66,9 @@ fn oracle_over(grises: &[(String, Arc<Gris>)], now: u64) -> Giis {
 }
 
 /// Sorted LDIF rendering — the byte-identical entry-*set* comparison.
-fn entry_set(svc: &dyn InquiryService, filter: &str, now: u64) -> Vec<String> {
-    let req = InquiryRequest::parse(filter, now).expect("pool filter parses");
+fn entry_set(svc: &dyn InquiryService, req: &InquiryRequest) -> Vec<String> {
     let mut ldif: Vec<String> = svc
-        .inquire(&req)
+        .inquire(req)
         .expect("inquiry answered")
         .entries
         .iter()
@@ -128,42 +116,53 @@ fn wallclock_qps(
 struct LockedDirectory(Mutex<Giis>);
 
 impl InquiryService for LockedDirectory {
-    fn inquire(
-        &self,
-        req: &InquiryRequest,
-    ) -> Result<wanpred_core::infod::InquiryResponse, wanpred_core::infod::InquiryError> {
-        self.0.lock().inquire(req)
+    fn inquire(&self, req: &InquiryRequest) -> Result<InquiryResponse, InquiryError> {
+        let giis = self.0.lock().expect("no reader panics holding the lock");
+        giis.inquire(req)
     }
 }
 
-fn main() {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
-    let n_sites: usize = arg_value(&args, "--sites")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 6 } else { 12 });
-    let records: usize = arg_value(&args, "--records")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 20 } else { 60 });
-    let rate: f64 = arg_value(&args, "--rate")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 800.0 } else { 10_000.0 });
-    let secs: u64 = arg_value(&args, "--secs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 5 } else { 10 });
-    let threads: usize = arg_value(&args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(4)
-        });
-    let wall_ms: u64 = arg_value(&args, "--wall-ms")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 300 } else { 1_500 });
+#[derive(Serialize)]
+struct ServingArtifact {
+    seed: u64,
+    sites: usize,
+    records_per_site: usize,
+    filters: usize,
+    oracle_answers_compared: usize,
+    stale_violations: u64,
+    post_death_checks: u64,
+    open_loop: OpenLoopRow,
+}
+
+#[derive(Serialize)]
+struct OpenLoopRow {
+    rate_per_sec: f64,
+    duration_secs: u64,
+    offered: u64,
+    answered: u64,
+    shed: u64,
+    coalesced: u64,
+    cache_hit_responses: u64,
+    sustained_qps: f64,
+    p50_us: u64,
+    p95_us: u64,
+    p99_us: u64,
+    deterministic: bool,
+    uncoalesced_answered: u64,
+    uncoalesced_shed: u64,
+}
+
+pub(crate) fn serving(args: &Args<'_>) -> Result<(), String> {
+    let smoke = args.has("--smoke");
+    let seed: u64 = args.parse("--seed", SEED)?;
+    let (n_sites, records, rate, secs, wall_ms) = if smoke {
+        (6, 20, 800.0, 5, 300)
+    } else {
+        (12, 60, 10_000.0, 10, 1_500)
+    };
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get().min(8))
+        .unwrap_or(4);
 
     let sites = serving_sites(n_sites, records, seed);
     let filters = serving_filters(&sites);
@@ -180,9 +179,10 @@ fn main() {
     let mut compared = 0usize;
     for f in &filters {
         for t in [now, now + 1, now + 7] {
+            let req = InquiryRequest::parse(f, t).expect("pool filter parses");
             assert_eq!(
-                entry_set(&server, f, t),
-                entry_set(&oracle, f, t),
+                entry_set(&server, &req),
+                entry_set(&oracle, &req),
                 "sharded answer diverged from the oracle on {f} at t={t}"
             );
             compared += 1;
@@ -236,7 +236,7 @@ fn main() {
     let run_modeled = |coalesce: bool| {
         let sink = ObsSink::enabled();
         let mut srv = ShardedServer::new(ServeConfig {
-            admission: Some(wanpred_core::infod::AdmissionConfig {
+            admission: Some(AdmissionConfig {
                 coalesce,
                 ..Default::default()
             }),
@@ -322,16 +322,13 @@ fn main() {
     let locked = LockedDirectory(Mutex::new(oracle_over(&grises, now)));
     let plain = sharded_over(&grises, ServeConfig::default(), now);
     for (f, req) in filters.iter().zip(&reqs) {
-        // Warm both so neither side refreshes providers inside the
-        // timed window, then re-check equal correctness on this exact
-        // workload.
-        let a = plain.inquire(req).expect("warm");
-        let b = locked.inquire(req).expect("warm");
-        let mut sa: Vec<String> = a.entries.iter().map(|e| e.to_ldif()).collect();
-        let mut sb: Vec<String> = b.entries.iter().map(|e| e.to_ldif()).collect();
-        sa.sort();
-        sb.sort();
-        assert_eq!(sa, sb, "wall-clock servers disagree on {f}");
+        // Warm both so neither side refreshes providers inside the timed
+        // window, then re-check equal correctness on this exact workload.
+        assert_eq!(
+            entry_set(&plain, req),
+            entry_set(&locked, req),
+            "wall-clock servers disagree on {f}"
+        );
     }
     let window = Duration::from_millis(wall_ms);
     let locked_qps = wallclock_qps(&locked, &reqs, threads, window);
@@ -363,29 +360,31 @@ fn main() {
         );
     }
 
-    let json = format!(
-        "{{\n  \"seed\": {seed},\n  \"sites\": {n_sites},\n  \"records_per_site\": {records},\n  \
-         \"filters\": {},\n  \"oracle_answers_compared\": {compared},\n  \
-         \"stale_violations\": {stale_violations},\n  \"post_death_checks\": {post_death_checks},\n  \
-         \"open_loop\": {{\n    \"rate_per_sec\": {rate},\n    \"duration_secs\": {secs},\n    \
-         \"offered\": {},\n    \"answered\": {},\n    \"shed\": {},\n    \"coalesced\": {},\n    \
-         \"cache_hit_responses\": {},\n    \"sustained_qps\": {:.3},\n    \
-         \"p50_us\": {p50},\n    \"p95_us\": {p95},\n    \"p99_us\": {p99},\n    \
-         \"deterministic\": true,\n    \"uncoalesced_answered\": {},\n    \
-         \"uncoalesced_shed\": {}\n  }},\n  \"wallclock\": {{\n    \"threads\": {threads},\n    \
-         \"window_ms\": {wall_ms},\n    \"locked_qps\": {locked_qps:.1},\n    \
-         \"sharded_qps\": {sharded_qps:.1},\n    \"speedup\": {speedup:.3}\n  }}\n}}\n",
-        filters.len(),
-        report.offered,
-        report.answered,
-        report.shed,
-        report.coalesced,
-        report.cache_hit_responses,
-        report.sustained_qps,
-        uncoalesced.answered,
-        uncoalesced.shed,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    std::fs::write(path, &json).expect("write BENCH_serving.json");
-    println!("\ncomparison written to {path}");
+    let artifact = ServingArtifact {
+        seed,
+        sites: n_sites,
+        records_per_site: records,
+        filters: filters.len(),
+        oracle_answers_compared: compared,
+        stale_violations,
+        post_death_checks,
+        open_loop: OpenLoopRow {
+            rate_per_sec: rate,
+            duration_secs: secs,
+            offered: report.offered,
+            answered: report.answered,
+            shed: report.shed,
+            coalesced: report.coalesced,
+            cache_hit_responses: report.cache_hit_responses,
+            sustained_qps: round(report.sustained_qps, 3),
+            p50_us: p50,
+            p95_us: p95,
+            p99_us: p99,
+            deterministic: true,
+            uncoalesced_answered: uncoalesced.answered,
+            uncoalesced_shed: uncoalesced.shed,
+        },
+    };
+    println!();
+    write_artifact(args, "BENCH_serving.json", &artifact)
 }

@@ -19,7 +19,7 @@
 //!   exported as byte-deterministic JSON or CRC-sealed ULM logfmt lines.
 //!
 //! The emission handle is [`ObsSink`]: `disabled()` is the null sink
-//! (one branch per emission — benchmarked in `crates/bench`), and
+//! (one branch per emission), and
 //! `enabled()` clones all share one registry. No wall clock exists
 //! anywhere in this crate: every timestamp is simulation time or a
 //! deterministic unix epoch, so two same-seed campaigns produce

@@ -225,7 +225,7 @@ pub fn extended_suite() -> Vec<NamedPredictor> {
 }
 
 /// The paper's Figure 4 table as `(row label, AVG, MED, AR)` cells — used
-/// by the `fig04_predictor_table` reproduction binary.
+/// by `wanpred figure 4`.
 pub fn figure4_table() -> Vec<(&'static str, &'static str, &'static str, &'static str)> {
     vec![
         ("All data", "AVG", "MED", "AR"),

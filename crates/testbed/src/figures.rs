@@ -2,8 +2,8 @@
 //! reports, derived from campaign results.
 //!
 //! Each `figXX_*` function returns plain data structures; the rendering
-//! to text tables lives in [`crate::report`], and the runnable binaries
-//! live in `wanpred-bench`.
+//! to text tables lives in [`crate::report`], and `wanpred figure ID`
+//! runs each one.
 
 use serde::{Deserialize, Serialize};
 use wanpred_logfmt::Operation;

@@ -6,7 +6,7 @@
 //! ([`campaign`]), per-figure data computation ([`figures`]) and text /
 //! CSV rendering ([`report`]).
 //!
-//! The `wanpred-bench` crate's binaries are thin wrappers over these
+//! `wanpred figure` and `wanpred ablate` are thin wrappers over these
 //! functions — everything needed to regenerate the paper's tables and
 //! figures lives here, callable from library code and tests.
 

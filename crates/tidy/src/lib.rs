@@ -456,7 +456,7 @@ mod tests {
     #[test]
     fn exempt_contexts() {
         assert!(file_context("crates/simnet/tests/x.rs").exempt);
-        assert!(file_context("crates/bench/benches/x.rs").exempt);
+        assert!(file_context("crates/core/benches/x.rs").exempt);
         assert!(file_context("crates/core/examples/x.rs").exempt);
         assert!(!file_context("crates/simnet/src/network.rs").exempt);
         assert_eq!(

@@ -50,8 +50,7 @@ pub const SIM_CRATES: &[&str] = &[
     "simnet", "gridftp", "testbed", "replica", "predict", "nws", "logfmt",
 ];
 
-/// Library crates subject to float-safety and panic policy. `bench` is
-/// excluded (wall-clock measurement is its whole point) and `tidy` lints
+/// Library crates subject to float-safety and panic policy. `tidy` lints
 /// itself out of scope to avoid self-reference.
 pub const LIB_CRATES: &[&str] = &[
     "simnet", "gridftp", "testbed", "replica", "predict", "nws", "core", "infod", "logfmt",

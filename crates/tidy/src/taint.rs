@@ -74,15 +74,11 @@ pub fn check(files: &[SourceFile], ix: &WorkspaceIndex, graph: &CallGraph) -> Ve
 }
 
 /// Sources in crates the per-line determinism rules do NOT cover (they
-/// own their crates), excluding `bench` (wall-clock measurement is its
-/// purpose) and `tidy` (out of scope).
+/// own their crates), excluding `tidy` (out of scope).
 fn collect_sources(files: &[SourceFile], ix: &WorkspaceIndex) -> Vec<Source> {
     let mut out = Vec::new();
     for (fn_id, item) in ix.fns.iter().enumerate() {
-        if SIM_CRATES.contains(&item.krate.as_str())
-            || item.krate == "bench"
-            || item.krate == "tidy"
-        {
+        if SIM_CRATES.contains(&item.krate.as_str()) || item.krate == "tidy" {
             continue;
         }
         let file = &files[item.file];

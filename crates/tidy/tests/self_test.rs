@@ -302,7 +302,7 @@ fn test_modules_and_test_dirs_are_exempt() {
 
     let bad = "fn t() { let _ = std::time::Instant::now(); }\n";
     assert!(tidy::check_file("crates/simnet/tests/x.rs", bad).is_empty());
-    assert!(tidy::check_file("crates/bench/benches/x.rs", bad).is_empty());
+    assert!(tidy::check_file("crates/core/benches/x.rs", bad).is_empty());
     assert!(!tidy::check_file("crates/simnet/src/x.rs", bad).is_empty());
 }
 

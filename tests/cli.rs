@@ -136,6 +136,62 @@ fn errors_are_reported_cleanly() {
 }
 
 #[test]
+fn figure_and_ablate_dispatch_through_the_registry() {
+    // A static table: the cheap end-to-end check of the dispatch path.
+    let o = wanpred(&["figure", "4"]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    assert!(stdout(&o).contains("Figure 4: context-insensitive predictors"));
+
+    // No id lists the ids, one per line, for scripts to loop over.
+    let o = wanpred(&["figure"]);
+    assert!(o.status.success());
+    let ids: Vec<String> = stdout(&o).lines().map(str::to_string).collect();
+    assert_eq!(ids.first().map(String::as_str), Some("1-2"));
+    assert!(ids.iter().any(|id| id == "summary"));
+    let o = wanpred(&["ablate"]);
+    assert!(o.status.success());
+    assert!(stdout(&o).lines().any(|id| id == "serving"));
+}
+
+#[test]
+fn bad_experiment_arguments_fail_before_anything_runs() {
+    for (args, why) in [
+        (&["figure", "5"][..], "unknown figure id"),
+        (&["ablate", "obs"], "unknown ablate id"),
+        (
+            &["ablate", "faults", "--days", "two"],
+            "bad value for --days",
+        ),
+        (
+            &["ablate", "coalloc", "--days", "0"],
+            "bad value for --days",
+        ),
+        (
+            &["ablate", "faults", "--chaos", "5%"],
+            "bad value for --chaos",
+        ),
+        (
+            &["ablate", "faults", "--chaos", "5"],
+            "bad value for --chaos",
+        ),
+        (&["ablate", "salvage", "--days"], "missing value for --days"),
+        (&["figure", "7", "--seed", "7"], "does not read \"--seed\""),
+        (&["ablate", "tournament", "--window", "9"], "does not read"),
+        (&["ablate", "serving", "--sites", "3"], "does not read"),
+        (&["ablate", "windows", "2"], "does not read \"2\""),
+        (&["figure", "8-11", "--class", "2gb"], "unknown class"),
+        (&["figure", "14-21", "--site", "foo"], "unknown site"),
+    ] {
+        let o = wanpred(args);
+        assert_eq!(o.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(err.starts_with("wanpred: "), "{args:?}: {err}");
+        assert!(err.contains(why), "{args:?}: {err}");
+        assert!(o.stdout.is_empty(), "{args:?} ran before failing");
+    }
+}
+
+#[test]
 fn oversized_size_mb_is_a_clean_error() {
     // 18_014_398_509_482 MB of 1_024_000 bytes is past u64::MAX bytes:
     // both subcommands must reject it as a bad value, not panic or wrap.
