@@ -32,6 +32,7 @@ use std::process::ExitCode;
 
 use wanpred_core::infod::{to_ldif_document, GridFtpPerfProvider, ProviderConfig};
 use wanpred_core::prelude::*;
+use wanpred_core::replica::filter_safe;
 use wanpred_core::testbed::Table;
 
 fn main() -> ExitCode {
@@ -308,14 +309,29 @@ fn cmd_select(raw: &[String]) -> Result<(), String> {
         return Err("need at least one --replica FILE:HOST".to_string());
     }
     let (size_mb, size) = size_arg(&args)?;
+    // The client and hosts are written into the broker's inquiry filter;
+    // one holding a filter metacharacter would rewrite it.
+    let bad_filter_value = |flag: &str, v: &str| {
+        format!("bad {flag} {v:?}: no `*`, `(`, `)`, `\\` or surrounding whitespace")
+    };
     let client = args.require("--client")?;
-
-    let mut fw = PredictiveFramework::new();
-    let mut now = 0u64;
+    if !filter_safe(client) {
+        return Err(bad_filter_value("--client", client));
+    }
+    let mut replicas = Vec::with_capacity(specs.len());
     for spec in &specs {
         let (file, host) = spec
             .rsplit_once(':')
             .ok_or_else(|| format!("--replica must be FILE:HOST, got {spec:?}"))?;
+        if !filter_safe(host) {
+            return Err(bad_filter_value("--replica HOST", host));
+        }
+        replicas.push((file, host));
+    }
+
+    let mut fw = PredictiveFramework::new();
+    let mut now = 0u64;
+    for &(file, host) in &replicas {
         let log = load_log(file)?;
         now = now.max(default_now(&log));
         fw.publish_server_log(host, host, log, 0);
@@ -332,8 +348,7 @@ fn cmd_select(raw: &[String]) -> Result<(), String> {
     let now: u64 = args.parse("--now", now)?;
     // Registration happened at 0; refresh so the soft state is live at
     // the query time.
-    for spec in &specs {
-        let (_, host) = spec.rsplit_once(':').expect("validated above");
+    for &(_, host) in &replicas {
         fw.renew_server(host, now);
     }
     let sel = fw

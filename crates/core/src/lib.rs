@@ -80,9 +80,9 @@ pub mod prelude {
     pub use wanpred_obs::{ObsSink, Snapshot};
     pub use wanpred_predict::prelude::*;
     pub use wanpred_replica::{
-        Broker, CoallocEvent, CoallocPolicy, CoallocRequest, CoallocSource, Coallocator,
-        CompletedCoalloc, GiisPerfSource, NoPerfInfo, PhysicalReplica, ReplicaCatalog, Selection,
-        SelectionPolicy, TopKSelection,
+        Broker, CoallocEvent, CoallocRequest, CoallocSource, Coallocator, CompletedCoalloc,
+        GiisPerfSource, NoPerfInfo, PhysicalReplica, ReplicaCatalog, Selection, SelectionPolicy,
+        TopKSelection,
     };
     pub use wanpred_simnet::prelude::*;
     pub use wanpred_storage::{DiskSpec, FileCatalog, StorageServer};

@@ -19,27 +19,14 @@ pub struct ServerConfig {
     pub host: String,
     /// Server address as logged in `SRC` fields of its peers.
     pub address: String,
-    /// Control port (GridFTP convention: 2811).
-    pub port: u16,
-    /// Extra one-time latency charged for the (simulated) GSI handshake.
-    pub auth_delay_ms: u64,
-    /// Number of control-channel round trips consumed by transfer set-up
-    /// (TYPE/MODE/SBUF/OPTS/PASV/RETR exchange).
-    pub setup_round_trips: u32,
-    /// Instrumentation overhead per transfer (the paper measures ≈25 ms).
-    pub logging_overhead_ms: u64,
 }
 
 impl ServerConfig {
-    /// Defaults matching the paper's testbed servers.
+    /// A server named `host`, reachable at `address`.
     pub fn new(host: impl Into<String>, address: impl Into<String>) -> Self {
         ServerConfig {
             host: host.into(),
             address: address.into(),
-            port: 2811,
-            auth_delay_ms: 350,
-            setup_round_trips: 6,
-            logging_overhead_ms: 25,
         }
     }
 }

@@ -43,12 +43,21 @@ struct Chaos {
     lbl: NodeId,
     isi: NodeId,
     ops: Vec<Op>,
-    tokens: Vec<TransferToken>,
+    /// Every accepted submission with its payload size.
+    tokens: Vec<(TransferToken, u64)>,
     completed: Vec<CompletedTransfer>,
+    /// `(delivered, payload)` bytes of every abort that found its transfer.
+    aborted: Vec<(u64, u64)>,
     submit_errors: Vec<SubmitError>,
 }
 
-const FILES: [&str; 5] = ["1MB", "10MB", "50MB", "100MB", "250MB"];
+const FILES: [(&str, u64); 5] = [
+    ("1MB", 1_024_000),
+    ("10MB", 10_240_000),
+    ("50MB", 51_200_000),
+    ("100MB", 102_400_000),
+    ("250MB", 256_000_000),
+];
 
 impl Agent for Chaos {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -67,38 +76,34 @@ impl Agent for Chaos {
         if self.mgr.on_timer(ctx, tag) {
             return;
         }
-        match self.ops[tag as usize].clone() {
+        let (req, bytes) = match self.ops[tag as usize].clone() {
             Op::Get { file, .. } => {
+                let (name, bytes) = FILES[file % FILES.len()];
                 let req = TransferRequest {
                     client: self.client,
                     kind: TransferKind::Get {
                         server: self.lbl,
-                        path: format!("/home/ftp/vazhkuda/{}", FILES[file % FILES.len()]),
+                        path: format!("/home/ftp/vazhkuda/{name}"),
                     },
                     streams: 4,
                     tcp_buffer: 1_000_000,
                     partial: None,
                 };
-                match self.mgr.submit(ctx, req) {
-                    Ok(t) => self.tokens.push(t),
-                    Err(e) => self.submit_errors.push(e),
-                }
+                (req, bytes)
             }
             Op::Striped { file, .. } => {
+                let (name, bytes) = FILES[file % FILES.len()];
                 let req = TransferRequest {
                     client: self.client,
                     kind: TransferKind::StripedGet {
                         servers: vec![self.lbl, self.isi],
-                        path: format!("/home/ftp/vazhkuda/{}", FILES[file % FILES.len()]),
+                        path: format!("/home/ftp/vazhkuda/{name}"),
                     },
                     streams: 4,
                     tcp_buffer: 1_000_000,
                     partial: None,
                 };
-                match self.mgr.submit(ctx, req) {
-                    Ok(t) => self.tokens.push(t),
-                    Err(e) => self.submit_errors.push(e),
-                }
+                (req, bytes)
             }
             Op::Partial {
                 server,
@@ -114,17 +119,21 @@ impl Agent for Chaos {
                     tcp_buffer: 1_000_000,
                     partial: Some((offset, len)),
                 };
-                match self.mgr.submit(ctx, req) {
-                    Ok(t) => self.tokens.push(t),
-                    Err(e) => self.submit_errors.push(e),
-                }
+                (req, len)
             }
             Op::Abort { which, .. } => {
                 if !self.tokens.is_empty() {
-                    let t = self.tokens[which % self.tokens.len()];
-                    let _ = self.mgr.abort(ctx, t);
+                    let (t, bytes) = self.tokens[which % self.tokens.len()];
+                    if let Some(delivered) = self.mgr.abort_exact(ctx, t) {
+                        self.aborted.push((delivered, bytes));
+                    }
                 }
+                return;
             }
+        };
+        match self.mgr.submit(ctx, req) {
+            Ok(t) => self.tokens.push((t, bytes)),
+            Err(e) => self.submit_errors.push(e),
         }
     }
 
@@ -207,6 +216,7 @@ proptest! {
             ops: ops.clone(),
             tokens: Vec::new(),
             completed: Vec::new(),
+            aborted: Vec::new(),
             submit_errors: Vec::new(),
         }));
         // Generous horizon: every non-aborted transfer finishes.
@@ -225,9 +235,13 @@ proptest! {
             prop_assert_eq!(storage.open_count(), 0);
         }
 
-        // Completions + aborted <= submissions; every completion carries
-        // a valid record and positive bandwidth.
-        prop_assert!(chaos.completed.len() <= chaos.tokens.len());
+        // Completions + aborts <= submissions (a transfer ends once); an
+        // abort never reports more bytes than the payload; every
+        // completion carries a valid record and positive bandwidth.
+        prop_assert!(chaos.completed.len() + chaos.aborted.len() <= chaos.tokens.len());
+        for &(delivered, bytes) in &chaos.aborted {
+            prop_assert!(delivered <= bytes, "aborted at {} of {} bytes", delivered, bytes);
+        }
         for c in &chaos.completed {
             prop_assert!(c.bandwidth_kbs > 0.0);
             prop_assert!(c.record.validate().is_ok(), "{:?}", c.record.validate());
@@ -276,10 +290,8 @@ proptest! {
     /// chunk's size, and the completions sum to the file size.
     #[test]
     fn partial_plan_round_trip_moves_every_byte_once(n in 1usize..6, file in 0usize..3) {
-        let sizes = [1_024_000u64, 10_240_000, 51_200_000];
-        let names = ["1MB", "10MB", "50MB"];
-        let total = sizes[file];
-        let path = format!("/home/ftp/vazhkuda/{}", names[file]);
+        let (name, total) = FILES[file];
+        let path = format!("/home/ftp/vazhkuda/{name}");
         let (net, anl, lbl, isi) = testnet();
         let mut mgr = TransferManager::new(996_000_000);
         mgr.add_host(anl, "anl.gov", "140.221.65.69");
@@ -315,6 +327,7 @@ proptest! {
             ops,
             tokens: Vec::new(),
             completed: Vec::new(),
+            aborted: Vec::new(),
             submit_errors: Vec::new(),
         }));
         eng.run_until(SimTime::from_secs(4_000));

@@ -15,4 +15,4 @@
 
 pub mod probe;
 
-pub use probe::{ProbeAgent, ProbeConfig, ProbeMeasurement};
+pub use probe::{ProbeAgent, ProbeMeasurement};

@@ -16,37 +16,16 @@ use wanpred_simnet::flow::{FlowDone, FlowFailed, FlowSpec, TcpParams};
 use wanpred_simnet::time::{SimDuration, SimTime};
 use wanpred_simnet::topology::NodeId;
 
-/// Configuration of a probe sensor between one pair of nodes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ProbeConfig {
-    /// Probe source node.
-    pub from: NodeId,
-    /// Probe destination node.
-    pub to: NodeId,
-    /// Probe payload in bytes (NWS default: 64 KB).
-    pub probe_bytes: u64,
-    /// Interval between probes (paper: every five minutes).
-    pub interval: SimDuration,
-    /// TCP parameters (NWS uses standard, untuned buffers).
-    pub tcp: TcpParams,
-    /// Give up on a probe after this long (a stalled probe must not stop
-    /// the schedule).
-    pub timeout: SimDuration,
-}
+// The paper's probe setup: 64 KB over standard, untuned TCP buffers
+// (`TcpParams::untuned`), every five minutes.
 
-impl ProbeConfig {
-    /// The paper's probe setup: 64 KB, every 5 minutes, untuned buffers.
-    pub fn paper_default(from: NodeId, to: NodeId) -> Self {
-        ProbeConfig {
-            from,
-            to,
-            probe_bytes: 64 * 1024,
-            interval: SimDuration::from_mins(5),
-            tcp: TcpParams::untuned(),
-            timeout: SimDuration::from_mins(4),
-        }
-    }
-}
+/// Probe payload in bytes (NWS default: 64 KB).
+const PROBE_BYTES: u64 = 64 * 1024;
+/// Interval between probes (paper: every five minutes).
+const PROBE_INTERVAL: SimDuration = SimDuration::from_mins(5);
+/// Give up on a probe after this long (a stalled probe must not stop the
+/// schedule).
+const PROBE_TIMEOUT: SimDuration = SimDuration::from_mins(4);
 
 /// One probe result.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -75,7 +54,8 @@ const TIMEOUT: TimerTag = 2;
 /// [`wanpred_simnet::engine::Engine::agent`].
 #[derive(Debug)]
 pub struct ProbeAgent {
-    cfg: ProbeConfig,
+    from: NodeId,
+    to: NodeId,
     measurements: Vec<ProbeMeasurement>,
     in_flight: Option<(wanpred_simnet::flow::FlowId, SimTime)>,
     timeouts: usize,
@@ -83,10 +63,11 @@ pub struct ProbeAgent {
 }
 
 impl ProbeAgent {
-    /// Create a sensor from a config.
-    pub fn new(cfg: ProbeConfig) -> Self {
+    /// A sensor probing the path from `from` to `to`.
+    pub fn new(from: NodeId, to: NodeId) -> Self {
         ProbeAgent {
-            cfg,
+            from,
+            to,
             measurements: Vec::new(),
             in_flight: None,
             timeouts: 0,
@@ -111,23 +92,17 @@ impl ProbeAgent {
     }
 
     fn launch(&mut self, ctx: &mut Ctx<'_>) {
-        let spec = FlowSpec::new(
-            self.cfg.from,
-            self.cfg.to,
-            self.cfg.probe_bytes,
-            1,
-            self.cfg.tcp,
-        );
+        let spec = FlowSpec::new(self.from, self.to, PROBE_BYTES, 1, TcpParams::untuned());
         match ctx.start_flow(spec) {
             Ok(id) => {
                 self.in_flight = Some((id, ctx.now()));
-                ctx.set_timer(self.cfg.timeout, TIMEOUT);
+                ctx.set_timer(PROBE_TIMEOUT, TIMEOUT);
             }
             Err(_) => {
                 // No route: record nothing; the next tick will retry.
             }
         }
-        ctx.set_timer(self.cfg.interval, TICK);
+        ctx.set_timer(PROBE_INTERVAL, TICK);
     }
 }
 
@@ -144,12 +119,12 @@ impl Agent for ProbeAgent {
                 } else {
                     // Previous probe still running; skip this slot but
                     // keep the schedule alive.
-                    ctx.set_timer(self.cfg.interval, TICK);
+                    ctx.set_timer(PROBE_INTERVAL, TICK);
                 }
             }
             TIMEOUT => {
                 if let Some((id, started)) = self.in_flight {
-                    if ctx.now().saturating_since(started) >= self.cfg.timeout {
+                    if ctx.now().saturating_since(started) >= PROBE_TIMEOUT {
                         ctx.abort_flow(id);
                         self.in_flight = None;
                         self.timeouts += 1;
@@ -233,7 +208,7 @@ mod tests {
     fn probes_fire_on_schedule() {
         let (network, a, b) = net(12e6, true);
         let mut eng = Engine::new(network);
-        let id = eng.add_agent(Box::new(ProbeAgent::new(ProbeConfig::paper_default(a, b))));
+        let id = eng.add_agent(Box::new(ProbeAgent::new(a, b)));
         eng.run_until(SimTime::from_secs(3_600));
         let agent = eng.agent::<ProbeAgent>(id).unwrap();
         // One at t=0 plus every 5 minutes: 12 per hour.
@@ -248,7 +223,7 @@ mod tests {
         // ceiling.
         let (network, a, b) = net(100e6, true);
         let mut eng = Engine::new(network);
-        let id = eng.add_agent(Box::new(ProbeAgent::new(ProbeConfig::paper_default(a, b))));
+        let id = eng.add_agent(Box::new(ProbeAgent::new(a, b)));
         eng.run_until(SimTime::from_secs(1_800));
         let agent = eng.agent::<ProbeAgent>(id).unwrap();
         for m in agent.measurements() {
@@ -268,7 +243,7 @@ mod tests {
         // that carry little information about tuned bulk-transfer rates).
         let (network, a, b) = net(12e6, false);
         let mut eng = Engine::new(network);
-        let id = eng.add_agent(Box::new(ProbeAgent::new(ProbeConfig::paper_default(a, b))));
+        let id = eng.add_agent(Box::new(ProbeAgent::new(a, b)));
         eng.run_until(SimTime::from_secs(6 * 3_600));
         let agent = eng.agent::<ProbeAgent>(id).unwrap();
         let bw: Vec<f64> = agent
@@ -299,7 +274,7 @@ mod tests {
             at: SimTime::from_secs_f64(0.2),
             action: FaultAction::KillFlows(link),
         }]));
-        let id = eng.add_agent(Box::new(ProbeAgent::new(ProbeConfig::paper_default(a, b))));
+        let id = eng.add_agent(Box::new(ProbeAgent::new(a, b)));
         eng.run_until(SimTime::from_secs(3_600));
         let agent = eng.agent::<ProbeAgent>(id).unwrap();
         assert_eq!(agent.failures(), 1);

@@ -128,8 +128,6 @@ pub const REPLICA_BROKER_RUNG_TOURNAMENT: &str = "replica.broker.rung_tournament
 pub const REPLICA_BROKER_RUNG_SIZE_CLASS: &str = "replica.broker.rung_size_class";
 /// Estimates served from the overall prediction rung.
 pub const REPLICA_BROKER_RUNG_OVERALL: &str = "replica.broker.rung_overall";
-/// Estimates served from the NWS probe-forecast rung.
-pub const REPLICA_BROKER_RUNG_PROBE: &str = "replica.broker.rung_probe";
 /// Estimates that fell through to the static-policy floor.
 pub const REPLICA_BROKER_RUNG_STATIC: &str = "replica.broker.rung_static";
 /// Histogram of candidate replicas scored per selection.
@@ -233,7 +231,6 @@ pub fn all() -> &'static [&'static str] {
         REPLICA_BROKER_RUNG_TOURNAMENT,
         REPLICA_BROKER_RUNG_SIZE_CLASS,
         REPLICA_BROKER_RUNG_OVERALL,
-        REPLICA_BROKER_RUNG_PROBE,
         REPLICA_BROKER_RUNG_STATIC,
         REPLICA_BROKER_CANDIDATES,
         REPLICA_BROKER_STALENESS_SECS,

@@ -14,27 +14,24 @@
 //! ## Selection rule
 //!
 //! Every scored target updates two leaderboards: a **global** one over
-//! all targets and a **per-size-class** one over targets of the same
-//! class (the paper's §4.3 insight — the best predictor differs per
-//! size regime — applied to meta-selection). Class boards see only a
-//! fraction of the stream, so their scores are shrunk toward the
-//! candidate's global score with [`TournamentOptions::class_prior`]
-//! pseudo-observations: an immature class board defers to the global
-//! ranking, a mature one overrides it. Until any board has evidence,
-//! the seeded incumbent ([`TournamentOptions::seed_champion`], the
-//! paper's recommended classified median by default) is served. A
-//! prediction is served by the target's class leader, falling back to
-//! the global leader and then the global ranking when unavailable. On
-//! every board the leader is the candidate minimizing
-//! `(rolling MAPE, name)`:
+//! the last 50 scored targets and a **per-size-class** one over the last
+//! 400 targets of the same class (the paper's §4.3 insight — the best
+//! predictor differs per size regime — applied to meta-selection). Class
+//! boards see only a fraction of the stream, so their scores are shrunk
+//! toward the candidate's global score with 10 pseudo-observations: an
+//! immature class board defers to the global ranking, a mature one
+//! overrides it. Until any board has evidence, the seeded incumbent
+//! (`MED+C`, the paper's recommended classified median) is served. A prediction is served by
+//! the target's class leader, falling back to the global leader and then
+//! the global ranking when unavailable. On every board the leader is the
+//! candidate minimizing `(rolling MAPE, name)`:
 //!
 //! * candidates that have not scored inside the window rank below every
 //!   scored one (their error is treated as `+inf`);
 //! * equal errors break ties by **lexicographic candidate name** — the
 //!   stable, documented rule, so the winner never depends on suite
 //!   registration order; a sitting leader keeps its seat on an exact tie
-//!   (a challenger must be strictly better, by
-//!   [`TournamentOptions::min_lead`] relative margin);
+//!   (a challenger must be strictly better);
 //! * `total_cmp` keeps the order total; non-finite errors never enter
 //!   the windows in the first place (the `RollingMape` NaN guard).
 //!
@@ -59,7 +56,30 @@ use crate::regression::{self, GramAcc, RegKind, MAX_DIM};
 use crate::stats;
 use crate::window::Window;
 
-/// Tuning knobs for a [`Tournament`].
+/// Rolling-error window per candidate on the global leaderboard: how
+/// many recent scored predictions the ranking considers.
+const WINDOW: usize = 50;
+/// Rolling-error window on the per-size-class leaderboards. Class boards
+/// see only same-class targets — a fraction of the stream — and the
+/// small regimes are far noisier, so they need a longer memory than the
+/// global board to rank candidates stably.
+const CLASS_WINDOW: usize = 400;
+/// Hierarchical shrinkage for the per-class leaderboards, in
+/// pseudo-observations: a candidate's class score is its class errors
+/// blended with `CLASS_PRIOR` virtual samples at its *global* rolling
+/// MAPE. An immature class board (few same-class targets) therefore
+/// defers to the global ranking, and a mature one overrides it — without
+/// this, the first handful of targets in a noisy size class crowns
+/// essentially random leaders.
+const CLASS_PRIOR: f64 = 10.0;
+/// Name of the candidate seeded as every board's initial leader — the
+/// incumbent served before the boards have evidence, instead of
+/// whichever candidate scored luckily first: the paper's overall
+/// recommendation, the classified median. Ignored when absent from the
+/// candidate pool.
+const SEED_CHAMPION: &str = "MED+C";
+
+/// Options for a [`Tournament`].
 #[derive(Debug, Clone, Copy)]
 pub struct TournamentOptions {
     /// Observations absorbed before [`replay_tournament`] starts
@@ -70,45 +90,12 @@ pub struct TournamentOptions {
     /// but not unlearned, so the leaderboard is already informed when
     /// reporting begins.
     pub training: usize,
-    /// Rolling-error window per candidate on the global leaderboard:
-    /// how many recent scored predictions the ranking considers.
-    pub window: usize,
-    /// Rolling-error window on the per-size-class leaderboards. Class
-    /// boards see only same-class targets — a fraction of the stream —
-    /// and the small regimes are far noisier, so they need a longer
-    /// memory than the global board to rank candidates stably.
-    pub class_window: usize,
-    /// Leadership hysteresis: the relative rolling-MAPE improvement a
-    /// challenger must show over the incumbent before taking the lead
-    /// (`0.1` = 10% better). Damps noise-driven switching; `0.0`
-    /// switches on any improvement.
-    pub min_lead: f64,
-    /// Hierarchical shrinkage for the per-class leaderboards, in
-    /// pseudo-observations: a candidate's class score is its class
-    /// errors blended with `class_prior` virtual samples at its
-    /// *global* rolling MAPE. An immature class board (few same-class
-    /// targets) therefore defers to the global ranking, and a mature
-    /// one overrides it — without this, the first handful of targets
-    /// in a noisy size class crowns essentially random leaders. `0.0`
-    /// disables the blend.
-    pub class_prior: f64,
-    /// Name of the candidate seeded as every board's initial leader —
-    /// the incumbent served before the boards have evidence, instead of
-    /// whichever candidate scored luckily first. Defaults to the
-    /// paper's overall recommendation (the classified median, `MED+C`);
-    /// ignored when absent from the candidate pool.
-    pub seed_champion: Option<&'static str>,
 }
 
 impl Default for TournamentOptions {
     fn default() -> Self {
         TournamentOptions {
             training: EvalOptions::default().training,
-            window: 50,
-            class_window: 400,
-            min_lead: 0.0,
-            class_prior: 10.0,
-            seed_champion: Some("MED+C"),
         }
     }
 }
@@ -159,7 +146,7 @@ impl RollingMape {
 
     /// Mean of the in-window errors; `None` until something scores: a
     /// front-to-back sum of up to `window` entries (50 on the
-    /// tournament's global board, 400 on a class board by default). A
+    /// tournament's global board, 400 on a class board). A
     /// sliding-window sum has no bit-exact O(1) form, and leaders are
     /// ranked on these bits.
     fn mape(&self) -> Option<f64> {
@@ -306,9 +293,7 @@ impl Tournament {
     pub fn new(candidates: Vec<NamedPredictor>, opts: TournamentOptions) -> Self {
         assert!(!candidates.is_empty(), "need at least one candidate");
         let n = candidates.len();
-        let seed = opts
-            .seed_champion
-            .and_then(|name| candidates.iter().position(|c| c.name() == name));
+        let seed = candidates.iter().position(|c| c.name() == SEED_CHAMPION);
         let specs: Vec<Option<PredictorSpec>> = candidates.iter().map(|c| c.spec()).collect();
         // Which accumulators a stream keeps follows from the specs that
         // read it: unclassified candidates read `all`, classified ones
@@ -325,9 +310,9 @@ impl Tournament {
             by_class: std::array::from_fn(|_| class_stream.clone()),
             candidates,
             specs,
-            scores: (0..n).map(|_| RollingMape::new(opts.window)).collect(),
+            scores: (0..n).map(|_| RollingMape::new(WINDOW)).collect(),
             class_scores: (0..n)
-                .map(|_| std::array::from_fn(|_| RollingMape::new(opts.class_window)))
+                .map(|_| std::array::from_fn(|_| RollingMape::new(CLASS_WINDOW)))
                 .collect(),
             opts,
             leader: seed,
@@ -432,15 +417,13 @@ impl Tournament {
     }
 
     /// Refresh one leaderboard's leader slot from its per-candidate
-    /// rolling MAPEs, applying the hysteresis rule and counting the
-    /// switch. The best candidate is `(MAPE or +inf, name)`-minimal;
-    /// an unscored board crowns nobody.
+    /// rolling MAPEs, counting the switch. The best candidate is
+    /// `(MAPE or +inf, name)`-minimal; an unscored board crowns nobody.
     fn refresh_board(
         candidates: &[NamedPredictor],
         mapes: &[Option<f64>],
         leader: &mut Option<usize>,
         switches: &mut u64,
-        min_lead: f64,
     ) {
         let best = (0..candidates.len())
             .min_by(|&a, &b| {
@@ -456,12 +439,12 @@ impl Tournament {
         }
         match *leader {
             Some(old) if old != best => {
-                // Hysteresis: the challenger must be `min_lead` relatively
-                // better than the incumbent to take over. An incumbent
-                // whose score left the window (`+inf`) always loses.
+                // The challenger must be strictly better: a tied
+                // incumbent keeps its seat. An incumbent whose score left
+                // the window (`+inf`) always loses.
                 let challenger = mapes[best].unwrap_or(f64::INFINITY);
                 let incumbent = mapes[old].unwrap_or(f64::INFINITY);
-                if challenger < incumbent * (1.0 - min_lead) {
+                if challenger < incumbent {
                     *leader = Some(best);
                     *switches += 1;
                 }
@@ -482,23 +465,18 @@ impl Tournament {
             &global,
             &mut self.leader,
             &mut self.switches,
-            self.opts.min_lead,
         );
-        // Class score with shrinkage: `class_prior` virtual samples at
+        // Class score with shrinkage: `CLASS_PRIOR` virtual samples at
         // the candidate's global MAPE anchor immature class boards to
         // the global ranking. A candidate unscored on both boards stays
         // unscored (None).
-        let prior = self.opts.class_prior;
         per_class.clear();
         per_class.extend(self.class_scores.iter().zip(&global).map(|(boards, g)| {
             let b = &boards[class];
-            if prior <= 0.0 {
-                return b.mape();
-            }
             match (b.mape(), *g) {
                 (Some(cm), Some(gm)) => {
                     let n = b.count() as f64;
-                    Some((n * cm + prior * gm) / (n + prior))
+                    Some((n * cm + CLASS_PRIOR * gm) / (n + CLASS_PRIOR))
                 }
                 (cm, None) => cm,
                 (None, gm) => gm,
@@ -509,7 +487,6 @@ impl Tournament {
             &per_class,
             &mut self.class_leaders[class],
             &mut self.switches,
-            self.opts.min_lead,
         );
         self.board_scratch = [global, per_class];
     }
@@ -673,6 +650,7 @@ mod tests {
     use crate::classify::PAPER_MB;
     use crate::last::LastValue;
     use crate::mean::MeanPredictor;
+    use crate::median::MedianPredictor;
     use crate::window::Window;
 
     fn obs(i: u64, bw: f64) -> Observation {
@@ -686,13 +664,8 @@ mod tests {
         ]
     }
 
-    fn opts(training: usize, window: usize) -> TournamentOptions {
-        TournamentOptions {
-            training,
-            window,
-            class_window: window,
-            ..TournamentOptions::default()
-        }
+    fn opts(training: usize) -> TournamentOptions {
+        TournamentOptions { training }
     }
 
     #[test]
@@ -715,7 +688,7 @@ mod tests {
 
     #[test]
     fn predict_before_any_history_declines() {
-        let t = Tournament::new(small_pool(), opts(2, 10));
+        let t = Tournament::new(small_pool(), opts(2));
         assert!(t.predict(0, PAPER_MB).is_none());
         assert_eq!(t.winner(), None);
     }
@@ -725,13 +698,13 @@ mod tests {
         // Phase 1: alternating noise — AVG wins. Phase 2: a step series
         // — LV must take the lead once the window rolls over, which the
         // all-time selector would take far longer to concede.
-        let mut t = Tournament::new(small_pool(), opts(5, 10));
-        for i in 0..40 {
+        let mut t = Tournament::new(small_pool(), opts(5));
+        for i in 0..2 * WINDOW as u64 {
             let bw = if i % 2 == 0 { 90.0 } else { 110.0 };
             t.observe(obs(i, bw));
         }
         assert_eq!(t.winner(), Some("AVG"));
-        for i in 40..80 {
+        for i in 2 * WINDOW as u64..4 * WINDOW as u64 {
             let bw = if (i / 10) % 2 == 0 { 500.0 } else { 1_500.0 };
             t.observe(obs(i, bw));
         }
@@ -749,7 +722,7 @@ mod tests {
             if reversed {
                 pool.reverse();
             }
-            let mut t = Tournament::new(pool, opts(2, 10));
+            let mut t = Tournament::new(pool, opts(2));
             for i in 0..12 {
                 t.observe(obs(i, 100.0 + (i % 3) as f64));
             }
@@ -761,7 +734,7 @@ mod tests {
 
     #[test]
     fn nan_measurements_never_reach_the_windows() {
-        let mut t = Tournament::new(small_pool(), opts(2, 10));
+        let mut t = Tournament::new(small_pool(), opts(2));
         for i in 0..8 {
             t.observe(obs(i, 100.0));
         }
@@ -777,7 +750,7 @@ mod tests {
 
     #[test]
     fn zero_measurements_skip_scoring() {
-        let mut t = Tournament::new(small_pool(), opts(2, 10));
+        let mut t = Tournament::new(small_pool(), opts(2));
         for i in 0..6 {
             t.observe(obs(i, 100.0));
         }
@@ -792,7 +765,7 @@ mod tests {
 
     #[test]
     fn initial_takeover_is_not_a_switch() {
-        let mut t = Tournament::new(small_pool(), opts(2, 10));
+        let mut t = Tournament::new(small_pool(), opts(2));
         for i in 0..6 {
             t.observe(obs(i, 100.0));
         }
@@ -807,7 +780,7 @@ mod tests {
             NamedPredictor::new(Box::new(MeanPredictor::new(Window::All)), true),
             NamedPredictor::new(Box::new(MeanPredictor::new(Window::All)), false),
         ];
-        let mut t = Tournament::new(pool, opts(2, 10));
+        let mut t = Tournament::new(pool, opts(2));
         for i in 0..10 {
             t.observe(obs(i, 100.0));
         }
@@ -820,19 +793,18 @@ mod tests {
 
     #[test]
     fn seeded_champion_serves_until_dethroned() {
-        let mut t = Tournament::new(
-            small_pool(),
-            TournamentOptions {
-                seed_champion: Some("AVG"),
-                ..opts(2, 10)
-            },
-        );
+        let pool = vec![
+            NamedPredictor::new(Box::new(LastValue::new()), false),
+            NamedPredictor::new(Box::new(MedianPredictor::new(Window::All)), true),
+        ];
+        let mut t = Tournament::new(pool, opts(2));
+        assert_eq!(t.winner(), Some(SEED_CHAMPION));
         // One observation: nothing is scored yet, the seed serves.
         t.observe(obs(0, 100.0));
-        assert_eq!(t.winner(), Some("AVG"));
-        assert_eq!(t.predict(10_000, 100 * PAPER_MB).unwrap().0, "AVG");
-        // A steep ramp: LV tracks it, AVG lags far behind — the seed is
-        // dethroned on evidence, and that dethroning is a switch.
+        assert_eq!(t.winner(), Some(SEED_CHAMPION));
+        assert_eq!(t.predict(10_000, 100 * PAPER_MB).unwrap().0, SEED_CHAMPION);
+        // A steep ramp: LV tracks it, the median lags far behind — the
+        // seed is dethroned on evidence, and that dethroning is a switch.
         for i in 1..12 {
             t.observe(obs(i, 100.0 * (i + 1) as f64));
         }
@@ -844,27 +816,17 @@ mod tests {
     fn immature_class_board_defers_to_global() {
         // Alternating noise: AVG (~10% rolling error) beats LV (~20%).
         // Then a single 1 GB target that LV happens to nail exactly.
-        let series: Vec<Observation> = (0..30)
-            .map(|i| obs(i, if i % 2 == 0 { 90.0 } else { 110.0 }))
-            .chain([Observation::new(1_000 + 30 * 60, 110.0, 1_000 * PAPER_MB)])
-            .collect();
-        let run = |class_prior: f64| {
-            let mut t = Tournament::new(
-                small_pool(),
-                TournamentOptions {
-                    class_prior,
-                    ..opts(2, 10)
-                },
-            );
-            for o in &series {
-                t.observe(*o);
-            }
-            t.class_winner(SizeClass::C1GB).map(str::to_string)
-        };
-        // Unshrunk, one lucky sample crowns LV; with the prior the
-        // immature board stays with the globally stronger AVG.
-        assert_eq!(run(0.0), Some("LV".to_string()));
-        assert_eq!(run(10.0), Some("AVG".to_string()));
+        let mut t = Tournament::new(small_pool(), opts(2));
+        for i in 0..30 {
+            t.observe(obs(i, if i % 2 == 0 { 90.0 } else { 110.0 }));
+        }
+        t.observe(Observation::new(1_000 + 30 * 60, 110.0, 1_000 * PAPER_MB));
+        // Unshrunk, that one lucky sample would crown LV; with the prior
+        // the immature board stays with the globally stronger AVG.
+        let c1gb = SizeClass::C1GB.index();
+        assert_eq!(t.class_scores[0][c1gb].mape(), Some(0.0), "LV nailed it");
+        assert!(t.class_scores[1][c1gb].mape() > Some(0.0));
+        assert_eq!(t.class_winner(SizeClass::C1GB), Some("AVG"));
     }
 
     #[test]
@@ -875,7 +837,7 @@ mod tests {
         let run = || {
             replay_tournament(
                 &series,
-                Tournament::new(small_pool(), opts(5, 10)),
+                Tournament::new(small_pool(), opts(5)),
                 &ObsSink::disabled(),
             )
         };
@@ -893,7 +855,7 @@ mod tests {
         let series: Vec<Observation> = (0..60)
             .map(|i| obs(i, 300.0 + (i as f64 * 17.0) % 90.0))
             .collect();
-        let t = Tournament::new(small_pool(), opts(15, 25));
+        let t = Tournament::new(small_pool(), opts(15));
         let out = replay_tournament(&series, t, &ObsSink::disabled());
         assert_eq!(out.report.name, "TOURN");
         assert_eq!(
@@ -906,7 +868,7 @@ mod tests {
 
     #[test]
     fn pair_tournaments_are_independent() {
-        let mut pt = PairTournament::new(opts(2, 10));
+        let mut pt = PairTournament::new(opts(2));
         assert!(pt.is_empty());
         assert_eq!((pt.len(), pt.switches()), (0, 0));
         // Arrival order is not key order, and "an"/"lisi" would collide

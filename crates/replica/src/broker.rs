@@ -20,16 +20,14 @@
 //!    attribute (the paper's primary signal).
 //! 3. [`FallbackRung::Overall`] — the unclassified prediction or the
 //!    overall read average.
-//! 4. [`FallbackRung::ProbeForecast`] — an NWS probe forecast for the
-//!    path, when a probe source is wired in (the paper's §4 comparison
-//!    stream pressed into service as a fallback).
-//! 5. [`FallbackRung::StaticPolicy`] — an operator-configured static
+//! 4. [`FallbackRung::StaticPolicy`] — an operator-configured static
 //!    bandwidth map.
 //!
 //! Entries served stale by a degraded GRIS carry `stalenesssecs`; the
 //! broker decays their bandwidth by `0.5^(staleness/half_life)` before
-//! ranking, so a site with fresh information beats an equally-fast site
-//! whose data is an hour old, but stale information still beats none.
+//! ranking ([`DEFAULT_STALENESS_HALF_LIFE_SECS`]), so a site with fresh
+//! information beats an equally-fast site whose data is an hour old, but
+//! stale information still beats none.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -52,8 +50,6 @@ pub enum FallbackRung {
     SizeClass,
     /// Overall (unclassified) prediction or read average.
     Overall,
-    /// NWS probe forecast for the client-server path.
-    ProbeForecast,
     /// Operator-configured static bandwidth.
     StaticPolicy,
 }
@@ -65,7 +61,6 @@ impl FallbackRung {
             FallbackRung::Tournament => "tournament",
             FallbackRung::SizeClass => "size-class",
             FallbackRung::Overall => "overall",
-            FallbackRung::ProbeForecast => "probe-forecast",
             FallbackRung::StaticPolicy => "static-policy",
         }
     }
@@ -95,55 +90,21 @@ pub trait PerfInfoSource {
     ) -> Option<PerfEstimate>;
 }
 
-/// A source of NWS-style probe forecasts for a network path — the
-/// broker's third ladder rung when the information service has nothing.
-pub trait ProbeForecastSource {
-    /// Forecast bandwidth (KB/s) for the path, or `None`.
-    fn forecast_kbs(&mut self, client_addr: &str, server_host: &str, now_unix: u64) -> Option<f64>;
-}
-
-/// A [`ProbeForecastSource`] over a table of per-path forecasts, fed by
-/// whatever runs the probes.
-#[derive(Debug, Clone, Default)]
-pub struct ProbeForecastTable {
-    forecasts: BTreeMap<(String, String), f64>,
-}
-
-impl ProbeForecastTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record the latest forecast for a `(client, server)` path.
-    pub fn set(&mut self, client_addr: &str, server_host: &str, kbs: f64) {
-        self.forecasts
-            .insert((client_addr.to_string(), server_host.to_string()), kbs);
-    }
-
-    /// Paths currently known.
-    pub fn len(&self) -> usize {
-        self.forecasts.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.forecasts.is_empty()
-    }
-}
-
-impl ProbeForecastSource for ProbeForecastTable {
-    fn forecast_kbs(&mut self, client_addr: &str, server_host: &str, _now: u64) -> Option<f64> {
-        self.forecasts
-            .get(&(client_addr.to_string(), server_host.to_string()))
-            .copied()
-    }
+/// Whether `value` can stand verbatim as an inquiry-filter assertion
+/// value: no filter metacharacter (`*`, `(`, `)`, `\`) and no leading or
+/// trailing whitespace (which the filter parser trims away). Anything
+/// else could rewrite the filter — `*` turns `(cn=*)` into a presence
+/// test that matches every client — so [`GiisPerfSource`] gives such a
+/// client or host no estimate.
+pub fn filter_safe(value: &str) -> bool {
+    value.trim() == value && !value.contains(['*', '(', ')', '\\'])
 }
 
 /// A [`PerfInfoSource`] backed by information-service inquiries, with
 /// the attribute fallback chain: size-class prediction → overall
 /// prediction → overall read average. Entries stamped `stalenesssecs`
-/// by a degraded GRIS surface that age in the estimate.
+/// by a degraded GRIS surface that age in the estimate. A client or host
+/// that is not [`filter_safe`] gets no estimate.
 ///
 /// Any [`InquiryService`] serves: a `Giis`, a `Gris`, or the sharded
 /// serving layer — the broker is agnostic to which tier answers.
@@ -176,11 +137,14 @@ impl PerfInfoSource for GiisPerfSource {
         size: u64,
         now_unix: u64,
     ) -> Option<PerfEstimate> {
+        if !filter_safe(client_addr) || !filter_safe(server_host) {
+            return None;
+        }
         let req = InquiryRequest::parse(
             &format!("(&(objectclass=GridFTPPerfInfo)(cn={client_addr})(hostname={server_host}))"),
             now_unix,
         )
-        .expect("well-formed filter");
+        .ok()?;
         // Overloaded (or otherwise failing) service: no estimate, so the
         // caller descends the fallback ladder instead of stalling.
         let entries = self.svc.inquire(&req).ok()?.entries;
@@ -259,8 +223,8 @@ impl Selection {
         &self.scores[self.chosen].replica
     }
 
-    /// Whether any candidate was scored from stale or fallback (probe /
-    /// static) information — the selection ran in degraded mode.
+    /// Whether any candidate was scored from stale or static information
+    /// — the selection ran in degraded mode.
     ///
     /// Tournament estimates are exempt from the staleness clause: their
     /// `staleness_secs` is simply the age of the path's newest transfer
@@ -318,10 +282,7 @@ impl TopKSelection {
 fn scores_degraded(scores: &[ReplicaScore]) -> bool {
     scores.iter().any(|s| {
         (s.staleness_secs > 0 && s.rung != Some(FallbackRung::Tournament))
-            || matches!(
-                s.rung,
-                Some(FallbackRung::ProbeForecast | FallbackRung::StaticPolicy)
-            )
+            || s.rung == Some(FallbackRung::StaticPolicy)
     })
 }
 
@@ -333,9 +294,7 @@ pub const DEFAULT_STALENESS_HALF_LIFE_SECS: u64 = 600;
 pub struct Broker<S: PerfInfoSource> {
     source: S,
     tournament: Option<PairTournament>,
-    probe_source: Option<Box<dyn ProbeForecastSource + Send>>,
     static_kbs: BTreeMap<String, f64>,
-    staleness_half_life_secs: u64,
     obs: ObsSink,
 }
 
@@ -345,9 +304,7 @@ impl<S: PerfInfoSource> Broker<S> {
         Broker {
             source,
             tournament: None,
-            probe_source: None,
             static_kbs: BTreeMap::new(),
-            staleness_half_life_secs: DEFAULT_STALENESS_HALF_LIFE_SECS,
             obs: ObsSink::disabled(),
         }
     }
@@ -381,21 +338,9 @@ impl<S: PerfInfoSource> Broker<S> {
         self.tournament.as_ref()
     }
 
-    /// Wire in an NWS probe-forecast fallback (third ladder rung).
-    pub fn with_probe_source(mut self, probes: Box<dyn ProbeForecastSource + Send>) -> Self {
-        self.probe_source = Some(probes);
-        self
-    }
-
-    /// Configure a static per-host bandwidth (fourth ladder rung).
+    /// Configure a static per-host bandwidth (the last ladder rung).
     pub fn with_static_kbs(mut self, server_host: impl Into<String>, kbs: f64) -> Self {
         self.static_kbs.insert(server_host.into(), kbs);
-        self
-    }
-
-    /// Override the staleness decay half-life.
-    pub fn with_staleness_half_life(mut self, secs: u64) -> Self {
-        self.staleness_half_life_secs = secs.max(1);
         self
     }
 
@@ -430,15 +375,6 @@ impl<S: PerfInfoSource> Broker<S> {
         {
             return Some(e);
         }
-        if let Some(p) = self.probe_source.as_mut() {
-            if let Some(kbs) = p.forecast_kbs(client_addr, server_host, now_unix) {
-                return Some(PerfEstimate {
-                    kbs,
-                    rung: FallbackRung::ProbeForecast,
-                    staleness_secs: 0,
-                });
-            }
-        }
         self.static_kbs.get(server_host).map(|&kbs| PerfEstimate {
             kbs,
             rung: FallbackRung::StaticPolicy,
@@ -456,7 +392,7 @@ impl<S: PerfInfoSource> Broker<S> {
         replicas: &[PhysicalReplica],
         now_unix: u64,
     ) -> Vec<ReplicaScore> {
-        let half_life = self.staleness_half_life_secs as f64;
+        let half_life = DEFAULT_STALENESS_HALF_LIFE_SECS as f64;
         replicas
             .iter()
             .map(|r| {
@@ -466,7 +402,6 @@ impl<S: PerfInfoSource> Broker<S> {
                         FallbackRung::Tournament => names::REPLICA_BROKER_RUNG_TOURNAMENT,
                         FallbackRung::SizeClass => names::REPLICA_BROKER_RUNG_SIZE_CLASS,
                         FallbackRung::Overall => names::REPLICA_BROKER_RUNG_OVERALL,
-                        FallbackRung::ProbeForecast => names::REPLICA_BROKER_RUNG_PROBE,
                         FallbackRung::StaticPolicy => names::REPLICA_BROKER_RUNG_STATIC,
                     });
                     self.obs
@@ -669,17 +604,15 @@ mod tests {
     }
 
     #[test]
-    fn probe_forecast_rung_fills_information_gaps() {
-        // The info service knows only anl; probes know isi; lbl is
-        // covered by static policy. All three rungs coexist in one
-        // selection and the best *effective* estimate wins.
+    fn static_rung_fills_information_gaps() {
+        // The info service knows only anl; lbl and isi are covered by
+        // static policy. Both rungs coexist in one selection and the best
+        // *effective* estimate wins.
         let mut src = BTreeMap::new();
         src.insert("anl.gov".to_string(), 2_000.0);
-        let mut probes = ProbeForecastTable::new();
-        probes.set("c", "isi.edu", 6_000.0);
         let mut b = Broker::new(MapSource(src))
-            .with_probe_source(Box::new(probes))
-            .with_static_kbs("lbl.gov", 500.0);
+            .with_static_kbs("lbl.gov", 500.0)
+            .with_static_kbs("isi.edu", 6_000.0);
         let mut policy = SelectionPolicy::predicted_bandwidth();
         let sel = b.select("c", &reps(), &mut policy, 0).unwrap();
         assert_eq!(sel.replica().host, "isi.edu");
@@ -689,7 +622,7 @@ mod tests {
             rungs,
             vec![
                 Some(FallbackRung::StaticPolicy),
-                Some(FallbackRung::ProbeForecast),
+                Some(FallbackRung::StaticPolicy),
                 Some(FallbackRung::SizeClass),
             ]
         );
@@ -703,11 +636,7 @@ mod tests {
         let mut src = BTreeMap::new();
         src.insert("lbl.gov".to_string(), 500.0);
         src.insert("isi.edu".to_string(), 2_000.0);
-        let mut b = Broker::new(MapSource(src)).with_tournament(TournamentOptions {
-            training: 2,
-            window: 10,
-            ..TournamentOptions::default()
-        });
+        let mut b = Broker::new(MapSource(src)).with_tournament(TournamentOptions { training: 2 });
         for i in 0..10u64 {
             b.observe_transfer(
                 "c",
@@ -736,11 +665,7 @@ mod tests {
         // estimate outranks the decayed tournament serve.
         let mut src = BTreeMap::new();
         src.insert("isi.edu".to_string(), 4_000.0);
-        let mut b = Broker::new(MapSource(src)).with_tournament(TournamentOptions {
-            training: 2,
-            window: 10,
-            ..TournamentOptions::default()
-        });
+        let mut b = Broker::new(MapSource(src)).with_tournament(TournamentOptions { training: 2 });
         for i in 0..10u64 {
             b.observe_transfer(
                 "c",
@@ -764,8 +689,7 @@ mod tests {
     fn tournament_rung_is_first_in_ladder_order() {
         assert!(FallbackRung::Tournament < FallbackRung::SizeClass);
         assert!(FallbackRung::SizeClass < FallbackRung::Overall);
-        assert!(FallbackRung::Overall < FallbackRung::ProbeForecast);
-        assert!(FallbackRung::ProbeForecast < FallbackRung::StaticPolicy);
+        assert!(FallbackRung::Overall < FallbackRung::StaticPolicy);
         assert_eq!(FallbackRung::Tournament.name(), "tournament");
     }
 

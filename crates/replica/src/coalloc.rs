@@ -14,12 +14,11 @@
 //! a deterministic progress monitor on sim-time windows:
 //!
 //! * **degradation** — a windowed EWMA of the stripe's delivered
-//!   throughput falls past `degrade_ratio × predicted` for
-//!   `degrade_windows` consecutive windows → the source is demoted: the
-//!   stripe is aborted with an exact byte count
-//!   ([`TransferManager::abort_exact`]), the delivered prefix is banked,
-//!   and the *remaining* byte range is re-planned onto the surviving
-//!   sources;
+//!   throughput falls past a quarter of the predicted rate for three
+//!   consecutive windows → the source is demoted: the stripe is aborted
+//!   with an exact byte count ([`TransferManager::abort_exact`]), the
+//!   delivered prefix is banked, and the *remaining* byte range is
+//!   re-planned onto the surviving sources;
 //! * **death** — the transfer manager exhausts its
 //!   [`wanpred_gridftp::RetryPolicy`] budget for the stripe (connection
 //!   resets from `simnet::fault` schedules, attempt deadlines) and
@@ -96,56 +95,36 @@ pub fn plan_chunks(total: u64, weights: &[f64]) -> Vec<(u64, u64)> {
     out
 }
 
-/// Monitor and rebalance knobs. All thresholds are deterministic
-/// functions of sim time — no wall clock anywhere.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoallocPolicy {
-    /// Progress-monitor tick: each live transfer samples every stripe's
-    /// delivered bytes at this period.
-    pub probe_interval: SimDuration,
-    /// EWMA smoothing weight for the newest window's throughput.
-    pub ewma_alpha: f64,
-    /// Demote a stripe when its EWMA throughput has been below
-    /// `degrade_ratio × predicted` …
-    pub degrade_ratio: f64,
-    /// … for this many consecutive monitor windows.
-    pub degrade_windows: u32,
-    /// Windows to wait before judging a fresh stripe (control-channel
-    /// setup and TCP slow start look like degradation otherwise).
-    pub warmup_windows: u32,
-    /// Never plan a chunk smaller than this: below it, stripe setup
-    /// overhead outweighs the parallelism (also caps the stripe count
-    /// for small files).
-    pub min_chunk_bytes: u64,
-    /// First blacklist penalty after a demotion or death.
-    pub blacklist_base: SimDuration,
-    /// Penalty multiplier per repeat offense…
-    pub blacklist_factor: f64,
-    /// …capped here. Also the quiet period after which an expired
-    /// entry's strike count resets (the decay half of
-    /// blacklist-with-decay).
-    pub blacklist_max: SimDuration,
-}
+// Monitor and rebalance policy, tuned for the paper's WAN testbed: 20 s
+// monitor windows (a few windows per even the fastest interesting
+// transfer), three strikes at a quarter of the predicted rate, a
+// megabyte chunk floor, a 5 min → 30 min blacklist ladder. Every
+// threshold is a function of sim time — no wall clock anywhere.
 
-impl CoallocPolicy {
-    /// Defaults tuned for the paper's WAN testbed: 20 s monitor windows
-    /// (a few windows per even the fastest interesting transfer), three
-    /// strikes at a quarter of the predicted rate, megabyte chunk floor,
-    /// 5 min → 30 min blacklist ladder.
-    pub fn wan_default() -> Self {
-        CoallocPolicy {
-            probe_interval: SimDuration::from_secs(20),
-            ewma_alpha: 0.4,
-            degrade_ratio: 0.25,
-            degrade_windows: 3,
-            warmup_windows: 2,
-            min_chunk_bytes: 1_024_000,
-            blacklist_base: SimDuration::from_mins(5),
-            blacklist_factor: 2.0,
-            blacklist_max: SimDuration::from_mins(30),
-        }
-    }
-}
+/// Progress-monitor tick: each live transfer samples every stripe's
+/// delivered bytes at this period.
+const PROBE_INTERVAL: SimDuration = SimDuration::from_secs(20);
+/// EWMA smoothing weight for the newest window's throughput.
+const EWMA_ALPHA: f64 = 0.4;
+/// Demote a stripe when its EWMA throughput has been below
+/// `DEGRADE_RATIO × predicted` …
+const DEGRADE_RATIO: f64 = 0.25;
+/// … for this many consecutive monitor windows.
+const DEGRADE_WINDOWS: u32 = 3;
+/// Windows to wait before judging a fresh stripe (control-channel setup
+/// and TCP slow start look like degradation otherwise).
+const WARMUP_WINDOWS: u32 = 2;
+/// Never plan a chunk smaller than this: below it, stripe setup overhead
+/// outweighs the parallelism (also caps the stripe count for small
+/// files).
+const MIN_CHUNK_BYTES: u64 = 1_024_000;
+/// First blacklist penalty after a demotion or death.
+const BLACKLIST_BASE: SimDuration = SimDuration::from_mins(5);
+/// Penalty multiplier per repeat offense…
+const BLACKLIST_FACTOR: f64 = 2.0;
+/// …capped here. Also the quiet period after which an expired entry's
+/// strike count resets (the decay half of blacklist-with-decay).
+const BLACKLIST_MAX: SimDuration = SimDuration::from_mins(30);
 
 /// One candidate source for a co-allocated transfer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -347,7 +326,6 @@ struct BlacklistEntry {
 /// * completions from [`TransferManager::on_flow_complete`] go through
 ///   [`Coallocator::on_transfer_complete`].
 pub struct Coallocator {
-    policy: CoallocPolicy,
     xfers: BTreeMap<u64, Xfer>,
     by_token: BTreeMap<TransferToken, (u64, usize)>,
     blacklist: BTreeMap<NodeId, BlacklistEntry>,
@@ -356,11 +334,16 @@ pub struct Coallocator {
     obs: ObsSink,
 }
 
+impl Default for Coallocator {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Coallocator {
-    /// Build over a policy.
-    pub fn new(policy: CoallocPolicy) -> Self {
+    /// An idle co-allocator with nothing in flight and an empty blacklist.
+    pub fn new() -> Self {
         Coallocator {
-            policy,
             xfers: BTreeMap::new(),
             by_token: BTreeMap::new(),
             blacklist: BTreeMap::new(),
@@ -400,7 +383,7 @@ impl Coallocator {
             Some(e) => {
                 // Strike memory decays after a quiet period: an entry
                 // that sat expired for `blacklist_max` starts over.
-                if now.saturating_since(e.until) >= self.policy.blacklist_max {
+                if now.saturating_since(e.until) >= BLACKLIST_MAX {
                     self.blacklist.remove(&node);
                 }
                 self.obs.inc(names::REPLICA_COALLOC_REJOINS);
@@ -417,9 +400,8 @@ impl Coallocator {
             Some(e) => e.strikes + 1,
             None => 1,
         };
-        let micros = self.policy.blacklist_base.as_micros() as f64
-            * self.policy.blacklist_factor.powi(strikes as i32 - 1);
-        let penalty = SimDuration::from_micros(micros as u64).min(self.policy.blacklist_max);
+        let micros = BLACKLIST_BASE.as_micros() as f64 * BLACKLIST_FACTOR.powi(strikes as i32 - 1);
+        let penalty = SimDuration::from_micros(micros as u64).min(BLACKLIST_MAX);
         let until = now + penalty;
         self.blacklist
             .insert(node, BlacklistEntry { until, strikes });
@@ -490,7 +472,7 @@ impl Coallocator {
 
         // Stripe count: the caller's k, capped by the pool and by the
         // chunk floor so small files don't shatter into setup overhead.
-        let by_floor = (total / self.policy.min_chunk_bytes.max(1)).max(1);
+        let by_floor = (total / MIN_CHUNK_BYTES).max(1);
         let k = req.k.max(1).min(pool.len()).min(by_floor as usize);
         let picks = &pool[..k];
         let weights: Vec<f64> = picks.iter().map(|s| s.predicted_kbs.max(1e-9)).collect();
@@ -552,7 +534,7 @@ impl Coallocator {
         }
         self.obs.inc(names::REPLICA_COALLOC_TRANSFERS);
         self.xfers.insert(id, xfer);
-        ctx.set_timer(self.policy.probe_interval, COALLOC_TAG_BASE | id);
+        ctx.set_timer(PROBE_INTERVAL, COALLOC_TAG_BASE | id);
         Ok(id)
     }
 
@@ -573,7 +555,6 @@ impl Coallocator {
             return true; // stale tick for a finished transfer
         }
         let now = ctx.now();
-        let policy = self.policy.clone();
 
         // Sample every live stripe, then collect demotions; mutating the
         // stripe list mid-scan would skew sibling indices.
@@ -592,20 +573,20 @@ impl Coallocator {
                 s.last_bytes = delivered;
                 s.last_at = now;
                 s.ewma_kbs = Some(match s.ewma_kbs {
-                    Some(prev) => policy.ewma_alpha * inst_kbs + (1.0 - policy.ewma_alpha) * prev,
+                    Some(prev) => EWMA_ALPHA * inst_kbs + (1.0 - EWMA_ALPHA) * prev,
                     None => inst_kbs,
                 });
                 s.windows_seen += 1;
-                if s.windows_seen <= policy.warmup_windows {
+                if s.windows_seen <= WARMUP_WINDOWS {
                     continue;
                 }
                 let ewma = s.ewma_kbs.expect("assigned above");
-                if ewma < policy.degrade_ratio * s.predicted_kbs {
+                if ewma < DEGRADE_RATIO * s.predicted_kbs {
                     s.windows_below += 1;
                 } else {
                     s.windows_below = 0;
                 }
-                if s.windows_below >= policy.degrade_windows {
+                if s.windows_below >= DEGRADE_WINDOWS {
                     demote.push(s.token);
                 }
             }
@@ -614,7 +595,7 @@ impl Coallocator {
             self.demote_stripe(ctx, mgr, token);
         }
         if self.xfers.contains_key(&id) {
-            ctx.set_timer(self.policy.probe_interval, COALLOC_TAG_BASE | id);
+            ctx.set_timer(PROBE_INTERVAL, COALLOC_TAG_BASE | id);
         }
         true
     }
@@ -759,7 +740,7 @@ impl Coallocator {
             return;
         }
         // Respect the chunk floor when splitting the remainder.
-        let by_floor = (len / self.policy.min_chunk_bytes.max(1)).max(1);
+        let by_floor = (len / MIN_CHUNK_BYTES).max(1);
         survivors.truncate((by_floor as usize).max(1).min(survivors.len()));
         let weights: Vec<f64> = survivors.iter().map(|(_, w)| *w).collect();
         let chunks = plan_chunks(len, &weights);
@@ -1086,7 +1067,7 @@ mod tests {
             h,
             Harness {
                 mgr: TransferManager::new(0),
-                co: Coallocator::new(CoallocPolicy::wan_default()),
+                co: Coallocator::new(),
                 req: None,
                 completed: Vec::new(),
                 failed: Vec::new(),
@@ -1121,7 +1102,7 @@ mod tests {
     fn clean_coalloc_completes_and_tiles() {
         let (net, anl, lbl, isi) = testnet();
         let mgr = manager(anl, lbl, isi);
-        let co = Coallocator::new(CoallocPolicy::wan_default());
+        let co = Coallocator::new();
         let (h, _) = run_with(
             net,
             mgr,
@@ -1166,23 +1147,34 @@ mod tests {
             assert!(size_ok);
         }
         // PUT-style registration isn't exposed on StorageServer here;
-        // instead co-allocate the smallest real file with a chunk floor
-        // far above it — the plan must collapse to one stripe.
-        let co = Coallocator::new(CoallocPolicy {
-            min_chunk_bytes: 10_000_000,
-            ..CoallocPolicy::wan_default()
-        });
+        // instead co-allocate the smallest real file, exactly one chunk
+        // floor long — the plan must collapse to one stripe.
         let (h, _) = run_with(
             net,
             mgr,
-            co,
+            Coallocator::new(),
             req2(anl, lbl, isi, "/home/ftp/vazhkuda/1MB", 2),
             120,
         );
         assert_eq!(h.completed.len(), 1);
         let c = &h.completed[0];
+        assert_eq!(c.total_bytes, MIN_CHUNK_BYTES);
         assert_eq!(c.stripes, 1, "chunk floor caps the stripe count");
         c.verify_tiling().expect("single stripe tiles");
+
+        // Two chunk floors' worth lets both sources take a stripe.
+        let (net, anl, lbl, isi) = testnet();
+        let (h, _) = run_with(
+            net,
+            manager(anl, lbl, isi),
+            Coallocator::new(),
+            req2(anl, lbl, isi, "/home/ftp/vazhkuda/2MB", 2),
+            120,
+        );
+        let c = &h.completed[0];
+        assert_eq!(c.total_bytes, 2 * MIN_CHUNK_BYTES);
+        assert_eq!(c.stripes, 2);
+        c.verify_tiling().expect("two stripes tile");
     }
 
     #[test]
@@ -1191,7 +1183,7 @@ mod tests {
         let mgr = manager(anl, lbl, isi);
         // No retry policy: the first kill fails the stripe outright,
         // exercising the death path deterministically.
-        let co = Coallocator::new(CoallocPolicy::wan_default());
+        let co = Coallocator::new();
         let mut eng = Engine::new(net);
         // Kill every flow on the lbl→anl link at t=10 s (mid-stripe).
         eng.inject_faults(&FaultSchedule::from_events(vec![TimedFault {
@@ -1231,7 +1223,7 @@ mod tests {
     fn lone_source_death_fails_the_transfer() {
         let (net, anl, lbl, isi) = testnet();
         let mgr = manager(anl, lbl, isi);
-        let co = Coallocator::new(CoallocPolicy::wan_default());
+        let co = Coallocator::new();
         let mut eng = Engine::new(net);
         eng.inject_faults(&FaultSchedule::from_events(vec![TimedFault {
             at: SimTime::from_secs(10),
@@ -1258,7 +1250,7 @@ mod tests {
 
     #[test]
     fn blacklist_escalates_and_decays() {
-        let mut co = Coallocator::new(CoallocPolicy::wan_default());
+        let mut co = Coallocator::new();
         let node = NodeId(5);
         let t0 = SimTime::from_secs(100);
         co.punish(node, t0);

@@ -20,14 +20,13 @@ pub mod coalloc;
 pub mod policy;
 
 pub use broker::{
-    Broker, FallbackRung, GiisPerfSource, NoPerfInfo, PerfEstimate, PerfInfoSource,
-    ProbeForecastSource, ProbeForecastTable, ReplicaScore, Selection, TopKSelection,
-    DEFAULT_STALENESS_HALF_LIFE_SECS,
+    filter_safe, Broker, FallbackRung, GiisPerfSource, NoPerfInfo, PerfEstimate, PerfInfoSource,
+    ReplicaScore, Selection, TopKSelection, DEFAULT_STALENESS_HALF_LIFE_SECS,
 };
 pub use catalog::{PhysicalReplica, ReplicaCatalog, ReplicaError};
 pub use coalloc::{
-    plan_chunks, CoallocEvent, CoallocPolicy, CoallocRequest, CoallocSource, Coallocator,
-    CompletedCoalloc, FailedCoalloc, StripeReport,
+    plan_chunks, CoallocEvent, CoallocRequest, CoallocSource, Coallocator, CompletedCoalloc,
+    FailedCoalloc, StripeReport,
 };
 pub use policy::SelectionPolicy;
 
@@ -37,6 +36,7 @@ mod integration_tests {
 
     use std::sync::Arc;
 
+    use proptest::prelude::*;
     use wanpred_infod::{Dn, Giis, GridFtpPerfProvider, Gris, ProviderConfig, Registration};
     use wanpred_logfmt::{Operation, TransferLog, TransferRecordBuilder};
 
@@ -148,11 +148,11 @@ mod integration_tests {
     }
 
     #[test]
-    fn failing_provider_degrades_to_stale_then_probe_forecast() {
+    fn failing_provider_degrades_to_stale_then_static() {
         // A GRIS whose provider reads a log *file*: once warm, delete the
         // file — refreshes fail, the GRIS serves stale-stamped entries,
         // and the broker keeps selecting (with decayed ranking). A second
-        // site with no information at all is covered by the probe rung.
+        // site with no information at all is covered by the static rung.
         let client = "140.221.65.69";
         let dir = std::env::temp_dir().join(format!("wanpred-degraded-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -176,9 +176,8 @@ mod integration_tests {
             1_200_000,
         );
 
-        let mut probes = ProbeForecastTable::new();
-        probes.set(client, "jet.isi.edu", 2_000.0);
-        let mut broker = Broker::new(GiisPerfSource::new(giis)).with_probe_source(Box::new(probes));
+        let mut broker =
+            Broker::new(GiisPerfSource::new(giis)).with_static_kbs("jet.isi.edu", 2_000.0);
         let mut policy = SelectionPolicy::predicted_bandwidth();
         let reps = vec![
             PhysicalReplica {
@@ -213,7 +212,71 @@ mod integration_tests {
         let lbl = &degraded.scores[0];
         assert_eq!(lbl.staleness_secs, 120);
         assert!(lbl.effective_kbs.unwrap() < lbl.predicted_kbs.unwrap());
-        assert_eq!(degraded.scores[1].rung, Some(FallbackRung::ProbeForecast));
+        assert_eq!(degraded.scores[1].rung, Some(FallbackRung::StaticPolicy));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    const LBL: &str = "dpsslx04.lbl.gov";
+    const CLIENT: &str = "140.221.65.69";
+
+    #[test]
+    fn filter_metacharacters_get_no_estimate() {
+        let mut src = GiisPerfSource::new(gris_for(LBL, CLIENT, 5_000.0));
+        let est = src.estimate(CLIENT, LBL, 102_400_000, 1_200_000);
+        assert!(est.is_some_and(|e| (e.kbs - 5_000.0).abs() < 100.0));
+        // `(cn=*)` is a presence filter: a client with no history must not
+        // borrow another client's prediction. `a)(b` used to panic the
+        // filter parse; padded strings used to be trimmed into a match.
+        for bad in [
+            "*",
+            "140.*",
+            "a)(b",
+            "(",
+            "\\",
+            " 140.221.65.69",
+            "140.221.65.69\t",
+            "x)(cn=140.221.65.69",
+        ] {
+            assert!(
+                src.estimate(bad, LBL, 102_400_000, 1_200_000).is_none(),
+                "client {bad:?}"
+            );
+            assert!(
+                src.estimate(CLIENT, bad, 102_400_000, 1_200_000).is_none(),
+                "host {bad:?}"
+            );
+        }
+    }
+
+    proptest! {
+        /// No client or host string panics the information source, a `*`
+        /// anywhere never gets an estimate, and only filter-safe strings
+        /// ever do.
+        #[test]
+        fn no_client_or_host_string_panics_or_matches_by_wildcard(
+            client_kind in 0usize..3,
+            host_kind in 0usize..3,
+            client_raw in "[ -~]{0,24}",
+            host_raw in "[ -~]{0,24}",
+        ) {
+            let pick = |kind: usize, real: &str, raw: String| match kind {
+                0 => real.to_string(),
+                1 => "*".to_string(),
+                _ => raw,
+            };
+            let client = pick(client_kind, CLIENT, client_raw);
+            let host = pick(host_kind, LBL, host_raw);
+            let mut src = GiisPerfSource::new(gris_for(LBL, CLIENT, 5_000.0));
+            let est = src.estimate(&client, &host, 102_400_000, 1_200_000);
+            if client.contains('*') || host.contains('*') {
+                prop_assert!(est.is_none(), "{:?} {:?}", client, host);
+            }
+            if est.is_some() {
+                prop_assert!(filter_safe(&client) && filter_safe(&host));
+            }
+            if client_kind == 0 && host_kind == 0 {
+                prop_assert!(est.is_some());
+            }
+        }
     }
 }

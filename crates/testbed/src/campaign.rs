@@ -16,12 +16,10 @@ use wanpred_gridftp::{
 use wanpred_logfmt::{
     corrupt_doc, salvage_doc, ChaosConfig, SalvageOptions, SalvageReport, TransferLog,
 };
-use wanpred_nws::{ProbeAgent, ProbeConfig, ProbeMeasurement};
+use wanpred_nws::{ProbeAgent, ProbeMeasurement};
 use wanpred_obs::{names, ObsSink, Snapshot};
 use wanpred_predict::{Observation, TournamentOptions};
-use wanpred_replica::coalloc::{
-    CoallocEvent, CoallocPolicy, CoallocRequest, CoallocSource, Coallocator,
-};
+use wanpred_replica::coalloc::{CoallocEvent, CoallocRequest, CoallocSource, Coallocator};
 use wanpred_replica::{Broker, NoPerfInfo, PhysicalReplica, SelectionPolicy};
 use wanpred_simnet::engine::{Agent, Ctx, Engine, TimerTag};
 use wanpred_simnet::fault::{FaultConfig, FaultSchedule};
@@ -729,7 +727,7 @@ pub fn run_campaign_on(cfg: &CampaignConfig, testbed: Testbed) -> CampaignResult
             .with_static_kbs(lbl_site.host.clone(), 5_000.0)
             .with_static_kbs(isi_site.host.clone(), 5_000.0);
         broker.set_obs(cfg.obs.clone());
-        let mut co = Coallocator::new(CoallocPolicy::wan_default());
+        let mut co = Coallocator::new();
         co.set_obs(cfg.obs.clone());
         CoallocRuntime {
             co,
@@ -781,10 +779,7 @@ pub fn run_campaign_on(cfg: &CampaignConfig, testbed: Testbed) -> CampaignResult
             .map(|&pair| {
                 (
                     pair,
-                    engine.add_agent(Box::new(ProbeAgent::new(ProbeConfig::paper_default(
-                        server_of(pair),
-                        anl,
-                    )))),
+                    engine.add_agent(Box::new(ProbeAgent::new(server_of(pair), anl))),
                 )
             })
             .collect()

@@ -17,20 +17,15 @@
 //! * per-line pragma suppression with mandatory justifications,
 //!   validated against the single rule registry ([`registry`]).
 //!
-//! Files scan in parallel (the vendored `rayon` shim) and a
-//! content-hash cache under `target/tidy-cache/` ([`cache`]) makes the
-//! no-edits rerun skip everything. Output is human-readable, `--json`,
-//! or SARIF 2.1.0 ([`sarif`]); `--fix` applies the two mechanically
-//! safe rewrites (`partial_cmp` → `total_cmp`, `swap_remove` →
-//! `remove`).
+//! Every run lexes every file (in parallel, through the vendored `rayon`
+//! shim) and runs every pass; nothing is cached between runs. The report
+//! is human-readable, one finding per line plus the suggested rewrite.
 //!
 //! Run it with `cargo run -p tidy`. Exit status is nonzero iff findings
 //! exist. See DESIGN.md § "Invariants and the tidy pass" and § "Static
 //! analysis".
 
-pub mod cache;
 pub mod callgraph;
-pub mod fix;
 pub mod index;
 pub mod lexer;
 pub mod obs_check;
@@ -38,7 +33,6 @@ pub mod panics;
 pub mod pipeline;
 pub mod registry;
 pub mod rules;
-pub mod sarif;
 pub mod scan;
 pub mod schema_check;
 pub mod taint;
@@ -265,160 +259,33 @@ pub(crate) fn rel_path(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Knobs the CLI exposes; [`run_tidy`] is the defaults-everywhere entry.
-pub struct TidyOptions {
-    /// Apply the mechanical rewrites before reporting.
-    pub apply_fix: bool,
-    /// Read/write `target/tidy-cache`. Off for cold-timing and tests
-    /// that must not see another run's state.
-    pub use_cache: bool,
-}
-
-/// Run the whole pass over the workspace at `root` with default options
-/// (cache on). With `apply_fix`, mechanically rewrite fixable findings
-/// in place first, then report whatever remains.
-pub fn run_tidy(root: &Path, apply_fix: bool) -> io::Result<Vec<Finding>> {
-    run_tidy_with(
-        root,
-        &TidyOptions {
-            apply_fix,
-            use_cache: true,
-        },
-    )
-}
-
-pub fn run_tidy_with(root: &Path, opts: &TidyOptions) -> io::Result<Vec<Finding>> {
-    let mut sources: Vec<(String, PathBuf, String)> = Vec::new();
+/// Run the whole pass over the workspace at `root`: every `.rs` file
+/// under `crates/`, the per-file line rules, then the semantic and
+/// cross-file passes. Findings come back sorted by path, line, rule and
+/// message.
+pub fn run_tidy(root: &Path) -> io::Result<Vec<Finding>> {
+    let mut sources: Vec<(String, String)> = Vec::new();
     for path in walk_rs_files(&root.join("crates"))? {
-        let rel = rel_path(root, &path);
-        let src = fs::read_to_string(&path)?;
-        sources.push((rel, path, src));
-    }
-
-    let cached = if opts.use_cache {
-        cache::load(root)
-    } else {
-        None
-    };
-    if !opts.apply_fix {
-        if let Some(c) = &cached {
-            // Warm path: nothing changed since the recorded run — return
-            // its findings without lexing a single line.
-            let hashes: Vec<(String, u64)> = sources
-                .iter()
-                .map(|(rel, _, src)| (rel.clone(), pipeline::fnv1a(src.as_bytes())))
-                .collect();
-            if let Some(findings) = c.full_hit(&hashes) {
-                return Ok(findings);
-            }
-        }
+        sources.push((rel_path(root, &path), fs::read_to_string(&path)?));
     }
 
     let table = rules::rules();
-    let mut files: Vec<SourceFile> =
-        rayon::par_map(&sources, |(rel, _, src)| SourceFile::from_source(rel, src));
+    let files: Vec<SourceFile> =
+        rayon::par_map(&sources, |(rel, src)| SourceFile::from_source(rel, src));
+    let per_file: Vec<Vec<Finding>> = rayon::par_map(&files, |file| line_findings(file, &table));
 
-    if opts.apply_fix {
-        for (i, (rel, path, src)) in sources.iter_mut().enumerate() {
-            let mut lines: Vec<String> = src.split('\n').map(str::to_string).collect();
-            let mut changed = false;
-            for f in line_findings(&files[i], &table) {
-                if f.line == 0 || f.line > lines.len() {
-                    continue;
-                }
-                let (fixed, n) = match f.rule.as_str() {
-                    "float-ord" => fix::fix_partial_cmp(&lines[f.line - 1]),
-                    "vec-swap-remove" => fix::fix_swap_remove(&lines[f.line - 1]),
-                    _ => continue,
-                };
-                if n > 0 {
-                    lines[f.line - 1] = fixed;
-                    changed = true;
-                }
-            }
-            if changed {
-                *src = lines.join("\n");
-                fs::write(path, &*src)?;
-                files[i] = SourceFile::from_source(rel, src);
-            }
-        }
-    }
-
-    // Per-file pass, in parallel; unchanged files reuse cached findings.
-    let indices: Vec<usize> = (0..files.len()).collect();
-    let per_file: Vec<Vec<Finding>> = rayon::par_map(&indices, |&i| {
-        let file = &files[i];
-        if !opts.apply_fix {
-            if let Some(hit) = cached
-                .as_ref()
-                .and_then(|c| c.file_hit(&file.rel, file.hash))
-            {
-                return hit.to_vec();
-            }
-        }
-        line_findings(file, &table)
-    });
-
-    // Semantic and cross-file passes see the whole (post-fix) file set.
     let ix = index::WorkspaceIndex::build(&files);
     let graph = callgraph::CallGraph::build(&files, &ix);
-    let mut semantic = Vec::new();
-    semantic.extend(taint::check(&files, &ix, &graph));
-    semantic.extend(panics::check(&files, &ix, &graph));
-    semantic.extend(units::check(&files));
-    semantic.extend(schema_check::check_schema(root));
-    semantic.extend(obs_check::check_obs_names(root));
-
-    if opts.use_cache {
-        let entries: Vec<((String, u64), Vec<Finding>)> = files
-            .iter()
-            .zip(per_file.iter())
-            .map(|(f, found)| ((f.rel.clone(), f.hash), found.clone()))
-            .collect();
-        // Cache write failure is not a lint failure; next run is cold.
-        let _ = cache::store(root, &entries, &semantic);
-    }
-
-    let mut findings: Vec<Finding> = per_file.into_iter().flatten().chain(semantic).collect();
-    cache::sort_findings(&mut findings);
+    let mut findings: Vec<Finding> = per_file.into_iter().flatten().collect();
+    findings.extend(taint::check(&files, &ix, &graph));
+    findings.extend(panics::check(&files, &ix, &graph));
+    findings.extend(units::check(&files));
+    findings.extend(schema_check::check_schema(root));
+    findings.extend(obs_check::check_obs_names(root));
+    findings.sort_by(|a, b| {
+        (&a.path, a.line, &a.rule, &a.message).cmp(&(&b.path, b.line, &b.rule, &b.message))
+    });
     Ok(findings)
-}
-
-/// Serialize findings as a JSON array (hand-rolled: tidy parses nothing
-/// and emits everything itself).
-pub fn to_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            r#"{{"rule":"{}","path":"{}","line":{},"message":"{}","suggestion":"{}"}}"#,
-            json_escape(&f.rule),
-            json_escape(&f.path),
-            f.line,
-            json_escape(&f.message),
-            json_escape(&f.suggestion),
-        ));
-    }
-    out.push(']');
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -465,18 +332,5 @@ mod tests {
                 .as_deref(),
             Some("simnet")
         );
-    }
-
-    #[test]
-    fn json_escaping() {
-        let f = Finding {
-            rule: "x".into(),
-            path: "a/b.rs".into(),
-            line: 3,
-            message: "say \"hi\"\n".into(),
-            suggestion: "s".into(),
-        };
-        let j = to_json(&[f]);
-        assert!(j.contains(r#"\"hi\"\n"#));
     }
 }

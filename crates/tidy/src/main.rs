@@ -1,31 +1,23 @@
 //! CLI for the workspace tidy pass.
 //!
 //! ```text
-//! cargo run -p tidy                 # human-readable report, exit 1 on findings
-//! cargo run -p tidy -- --json       # machine-readable report (CI gate)
-//! cargo run -p tidy -- --sarif      # SARIF 2.1.0 (code-scanning upload)
-//! cargo run -p tidy -- --fix        # apply mechanical rewrites (partial_cmp, swap_remove)
-//! cargo run -p tidy -- --no-cache   # ignore target/tidy-cache (cold run)
+//! cargo run -p tidy                 # lint the workspace, exit 1 on findings
 //! cargo run -p tidy -- --root DIR   # lint a different tree (fixtures, subsets)
 //! ```
+//!
+//! The report is one `path:line: [rule] message` line per finding, each
+//! followed by its suggested rewrite, then a count; a clean tree prints
+//! `tidy: clean`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut json = false;
-    let mut sarif = false;
-    let mut apply_fix = false;
-    let mut use_cache = true;
     let mut root: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
-            "--sarif" => sarif = true,
-            "--fix" => apply_fix = true,
-            "--no-cache" => use_cache = false,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
@@ -34,7 +26,7 @@ fn main() -> ExitCode {
                 }
             },
             "--help" | "-h" => {
-                eprintln!("usage: tidy [--json] [--sarif] [--fix] [--no-cache] [--root DIR]");
+                eprintln!("usage: tidy [--root DIR]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -51,11 +43,7 @@ fn main() -> ExitCode {
             .join("..")
     });
 
-    let opts = tidy::TidyOptions {
-        apply_fix,
-        use_cache,
-    };
-    let findings = match tidy::run_tidy_with(&root, &opts) {
+    let findings = match tidy::run_tidy(&root) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("tidy: error walking {}: {e}", root.display());
@@ -63,27 +51,18 @@ fn main() -> ExitCode {
         }
     };
 
-    if sarif {
-        println!("{}", tidy::sarif::to_sarif(&findings));
-    } else if json {
-        println!("{}", tidy::to_json(&findings));
-    } else if findings.is_empty() {
-        println!("tidy: clean ({} ok)", root.display());
-    } else {
-        for f in &findings {
-            if f.line > 0 {
-                println!("{}:{}: [{}] {}", f.path, f.line, f.rule, f.message);
-            } else {
-                println!("{}: [{}] {}", f.path, f.rule, f.message);
-            }
-            println!("    -> {}", f.suggestion);
-        }
-        println!("tidy: {} finding(s)", findings.len());
-    }
-
     if findings.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+        println!("tidy: clean ({} ok)", root.display());
+        return ExitCode::SUCCESS;
     }
+    for f in &findings {
+        if f.line > 0 {
+            println!("{}:{}: [{}] {}", f.path, f.line, f.rule, f.message);
+        } else {
+            println!("{}: [{}] {}", f.path, f.rule, f.message);
+        }
+        println!("    -> {}", f.suggestion);
+    }
+    println!("tidy: {} finding(s)", findings.len());
+    ExitCode::FAILURE
 }

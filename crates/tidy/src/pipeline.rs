@@ -1,6 +1,6 @@
 //! Shared per-file pipeline state.
 //!
-//! Every pass — line rules, the semantic passes, the caches — consumes
+//! Every pass — line rules, the semantic and cross-file passes — consumes
 //! the same per-file artifact: the lexed/scanned source plus the parsed
 //! suppression pragmas. [`SourceFile`] is built once per file (in
 //! parallel, see [`crate::run_tidy`]) and handed to everything else by
@@ -25,8 +25,6 @@ pub struct SourceFile {
     /// Findings about the pragmas themselves (unknown rule, missing
     /// justification). Reported once, by the per-file pass.
     pub pragma_findings: Vec<Finding>,
-    /// FNV-1a hash of the raw file contents (cache key).
-    pub hash: u64,
 }
 
 impl SourceFile {
@@ -45,7 +43,6 @@ impl SourceFile {
             scanned,
             allows,
             pragma_findings,
-            hash: fnv1a(src.as_bytes()),
         }
     }
 
@@ -58,26 +55,9 @@ impl SourceFile {
     }
 }
 
-/// FNV-1a 64-bit: tiny, dependency-free, stable across runs and
-/// platforms — exactly what a content-addressed cache key needs.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_is_stable() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
-    }
 
     #[test]
     fn allowed_respects_rule_and_line() {

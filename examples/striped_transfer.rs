@@ -12,7 +12,7 @@ use std::any::Any;
 use wanpred_core::gridftp::{TransferEvent, TransferManager};
 use wanpred_core::prelude::*;
 use wanpred_core::replica::coalloc::{
-    CoallocEvent, CoallocPolicy, CoallocRequest, CoallocSource, Coallocator, CompletedCoalloc,
+    CoallocEvent, CoallocRequest, CoallocSource, Coallocator, CompletedCoalloc,
 };
 use wanpred_core::testbed::build_testbed;
 use wanpred_simnet::fault::{FaultAction, FaultSchedule, TimedFault};
@@ -125,7 +125,7 @@ fn run(k: usize, kill_lbl_at: Option<u64>) -> Demo {
     }
     let id = engine.add_agent(Box::new(Demo {
         mgr,
-        co: Coallocator::new(CoallocPolicy::wan_default()),
+        co: Coallocator::new(),
         client,
         sources,
         k,
@@ -138,7 +138,7 @@ fn run(k: usize, kill_lbl_at: Option<u64>) -> Demo {
         engine.agent_mut::<Demo>(id).expect("agent"),
         Demo {
             mgr: TransferManager::new(0),
-            co: Coallocator::new(CoallocPolicy::wan_default()),
+            co: Coallocator::new(),
             client,
             sources: Vec::new(),
             k,

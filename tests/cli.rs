@@ -220,3 +220,51 @@ fn oversized_size_mb_is_a_clean_error() {
         assert!(err.contains("bad --size-mb"), "{args:?}: {err}");
     }
 }
+
+#[test]
+fn select_rejects_filter_metacharacters_before_running() {
+    // A client or host is written into the broker's inquiry filter: `*`
+    // made `(cn=*)` match another client's history, and `a)(b` made the
+    // filter unparsable (a panic, exit 101).
+    let dir = out_dir("filter");
+    let o = wanpred(&["campaign", "--days", "1", "--out", dir.to_str().unwrap()]);
+    assert!(o.status.success());
+    let log = dir.join("lbl-anl.ulm");
+    let log_s = log.to_str().unwrap();
+    let good = format!("{log_s}:lbl.gov");
+    let select = |client: &str, replica: &str| {
+        wanpred(&[
+            "select",
+            "--replica",
+            replica,
+            "--size-mb",
+            "100",
+            "--client",
+            client,
+        ])
+    };
+    for client in ["*", "140.*", "a)(b", "(", "\\", " 140.221.65.69"] {
+        let o = select(client, &good);
+        assert_eq!(o.status.code(), Some(1), "--client {client:?}");
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(
+            err.starts_with("wanpred: bad --client"),
+            "{client:?}: {err}"
+        );
+        assert!(o.stdout.is_empty(), "{client:?} ran before failing");
+    }
+    for host in ["*", "lbl)(x", "lbl.gov "] {
+        let o = select("140.221.65.69", &format!("{log_s}:{host}"));
+        assert_eq!(o.status.code(), Some(1), "host {host:?}");
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(
+            err.starts_with("wanpred: bad --replica HOST"),
+            "{host:?}: {err}"
+        );
+        assert!(o.stdout.is_empty(), "{host:?} ran before failing");
+    }
+    // A client with no history of its own gets none.
+    let o = select("10.0.0.1", &good);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    assert!(stdout(&o).contains("no information"), "{}", stdout(&o));
+}
