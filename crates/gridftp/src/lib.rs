@@ -7,17 +7,12 @@
 //! bandwidth defined as `file size / transfer time` over the whole
 //! operation (control setup, storage, and wire time included).
 //!
-//! * [`protocol`] — the control-channel command subset (AUTH/USER/PASS,
-//!   TYPE/MODE, SBUF, OPTS Parallelism, PASV/SPAS/PORT/SPOR, REST,
-//!   RETR/STOR/ERET, SIZE, QUIT) with parser and formatter.
-//! * [`server`] — the session state machine that negotiates transfers
-//!   against a [`wanpred_storage::StorageServer`] catalog.
-//! * [`client`] — the client module (§3): higher-level get/put/partial
-//!   operations driving a session through the canonical sequences.
 //! * [`transfer`] — the [`transfer::TransferManager`] executing transfers
 //!   as simulated flows: control-setup latency, parallel streams, TCP
 //!   buffer limits, storage-contention caps, and per-server transfer
-//!   logs.
+//!   logs. The control channel is not simulated command by command: its
+//!   whole cost is `AUTH_DELAY + SETUP_ROUND_TRIPS × RTT`, charged before
+//!   the data flows start.
 //! * [`instrument`] — the paper's logging-overhead claims (≈25 ms/record,
 //!   < 512 bytes/entry) and a measurement helper proving our pipeline
 //!   sits far inside them.
@@ -25,19 +20,14 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod client;
 pub mod instrument;
-pub mod protocol;
-pub mod server;
 pub mod transfer;
 
-pub use client::{ClientError, ClientSettings, Exchange, GridFtpClient};
 pub use instrument::{
     measure_logging_cost, modeled_logging_cost, LoggingCost, PAPER_LOGGING_OVERHEAD_MS,
 };
-pub use protocol::{parse, Command, ParseError, Reply};
-pub use server::{ServerConfig, Session, TransferPlan, DEFAULT_TCP_BUFFER};
 pub use transfer::{
-    owns_tag, stripe_shares, CompletedTransfer, FailureReason, RetryPolicy, SubmitError,
-    TransferEvent, TransferKind, TransferManager, TransferRequest, TransferToken, TAG_BASE,
+    owns_tag, stripe_shares, CompletedTransfer, FailureReason, RetryPolicy, ServerConfig,
+    SubmitError, TransferEvent, TransferKind, TransferManager, TransferRequest, TransferToken,
+    TAG_BASE,
 };

@@ -12,9 +12,10 @@
 //! share of the payload in parallel. A transfer's life cycle:
 //!
 //! 1. **submit** — the request is validated against the server catalogs
-//!    (GridFTP would return `550` here); a timer models the control
-//!    channel setup: GSI authentication plus the command round trips to
-//!    the farthest involved server.
+//!    (GridFTP would return `550`, `553` or `554` here); a timer models
+//!    the whole control channel, `AUTH_DELAY + SETUP_ROUND_TRIPS × RTT`:
+//!    GSI authentication plus the command round trips to the farthest
+//!    involved server.
 //! 2. **setup fires** — every leg opens its storage accesses (charging
 //!    the disk's positioning overhead) and starts its data flow with the
 //!    negotiated stream count and buffer; every *other* in-flight
@@ -29,6 +30,7 @@
 
 use std::collections::BTreeMap;
 
+use serde::{Deserialize, Serialize};
 use wanpred_logfmt::{Operation, TransferLog, TransferRecord, TransferRecordBuilder};
 use wanpred_obs::{names, ObsSink};
 use wanpred_simnet::engine::{Ctx, TimerTag};
@@ -37,8 +39,6 @@ use wanpred_simnet::index::VecMap;
 use wanpred_simnet::time::{SimDuration, SimTime};
 use wanpred_simnet::topology::NodeId;
 use wanpred_storage::{AccessId, StorageServer};
-
-use crate::server::ServerConfig;
 
 /// Timer-tag namespace claimed by transfer managers. Embedding agents
 /// must forward any tag for which [`owns_tag`] is true.
@@ -263,6 +263,8 @@ pub enum SubmitError {
     FileNotFound(String),
     /// Partial-transfer offset beyond end of file (554).
     BadOffset,
+    /// A write target lies outside every volume of its server (553).
+    NoVolume(String),
     /// The topology has no route for a data leg.
     NoRoute,
     /// A striped request listed no servers.
@@ -277,6 +279,7 @@ impl std::fmt::Display for SubmitError {
             SubmitError::NotAServer(n) => write!(f, "{n} is not a GridFTP server"),
             SubmitError::FileNotFound(p) => write!(f, "550 no such file: {p}"),
             SubmitError::BadOffset => write!(f, "554 offset beyond end of file"),
+            SubmitError::NoVolume(p) => write!(f, "553 path outside any volume: {p}"),
             SubmitError::NoRoute => write!(f, "no route for data path"),
             SubmitError::NoStripes => write!(f, "striped request with no servers"),
             SubmitError::StripeSizeMismatch => write!(f, "stripe replicas disagree on size"),
@@ -322,6 +325,25 @@ pub fn stripe_shares(bytes: u64, n: usize) -> Vec<u64> {
     let share = bytes / n;
     let rem = bytes % n;
     (0..n).map(|i| share + u64::from(i < rem)).collect()
+}
+
+/// Static configuration of one GridFTP server.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ServerConfig {
+    /// Server host name, e.g. `dpsslx04.lbl.gov`.
+    pub host: String,
+    /// Server address as logged in `SRC` fields of its peers.
+    pub address: String,
+}
+
+impl ServerConfig {
+    /// A server named `host`, reachable at `address`.
+    pub fn new(host: impl Into<String>, address: impl Into<String>) -> Self {
+        ServerConfig {
+            host: host.into(),
+            address: address.into(),
+        }
+    }
 }
 
 /// One registered server.
@@ -439,11 +461,6 @@ impl TransferManager {
         self.retry = Some(policy);
     }
 
-    /// The installed retry policy, if any.
-    pub fn retry_policy(&self) -> Option<&RetryPolicy> {
-        self.retry.as_ref()
-    }
-
     /// Drain pending recovery notifications (retries scheduled, transfers
     /// abandoned). Call after forwarding timer/flow events.
     pub fn take_events(&mut self) -> Vec<TransferEvent> {
@@ -502,6 +519,19 @@ impl TransferManager {
             .map_err(|_| SubmitError::FileNotFound(path.to_string()))
     }
 
+    /// Check that a write target on a registered server lies inside one
+    /// of its volumes (GridFTP refuses such a `STOR` with `553`).
+    fn check_volume(&self, server: NodeId, path: &str) -> Result<(), SubmitError> {
+        let rt = self
+            .servers
+            .get(&server)
+            .ok_or(SubmitError::NotAServer(server))?;
+        match rt.storage.catalog().volume_of(path) {
+            Some(_) => Ok(()),
+            None => Err(SubmitError::NoVolume(path.to_string())),
+        }
+    }
+
     /// Submit a transfer. On success, the data starts flowing after the
     /// control-channel setup delay and the completion arrives through
     /// [`TransferManager::on_flow_complete`].
@@ -540,9 +570,7 @@ impl TransferManager {
                     )
                 }
                 TransferKind::Put { server, path, size } => {
-                    self.servers
-                        .get(server)
-                        .ok_or(SubmitError::NotAServer(*server))?;
+                    self.check_volume(*server, path)?;
                     (
                         vec![(req.client, *server, *size)],
                         *server,
@@ -552,7 +580,7 @@ impl TransferManager {
                 }
                 TransferKind::ThirdParty { from, to, path } => {
                     let total = self.lookup(*from, path)?;
-                    self.servers.get(to).ok_or(SubmitError::NotAServer(*to))?;
+                    self.check_volume(*to, path)?;
                     (vec![(*from, *to, total)], *from, path.clone(), Some(*to))
                 }
                 TransferKind::StripedGet { servers, path } => {
@@ -889,7 +917,7 @@ impl TransferManager {
                 rt.storage
                     .catalog_mut()
                     .put_file(t.path.clone(), t.total_bytes)
-                    .ok();
+                    .expect("submit checked the target lies in a volume");
             }
         }
 
@@ -1550,6 +1578,66 @@ mod tests {
         assert_eq!(d.errors, vec![SubmitError::BadOffset]);
         assert_eq!(d.completed.len(), 1, "offset 0 into empty file is legal");
         assert_eq!(d.completed[0].bytes, 0);
+    }
+
+    /// Regression: a write target outside every volume of its server is
+    /// a 553 at submit, for a PUT and for a third-party destination. It
+    /// used to complete, log `VOL=""` and never enter the catalog.
+    #[test]
+    fn write_outside_any_volume_rejected_at_submit() {
+        let (net, anl, lbl, isi) = testnet();
+        let mut mgr = manager(anl, lbl, isi);
+        // A file LBL serves from a volume ISI does not have.
+        let lbl_catalog = mgr.servers.get_mut(&lbl).unwrap().storage.catalog_mut();
+        lbl_catalog.add_volume("/archive");
+        lbl_catalog
+            .put_file("/archive/run.dat", 10_000_000)
+            .unwrap();
+        let put = TransferRequest {
+            client: anl,
+            kind: TransferKind::Put {
+                server: lbl,
+                path: "/etc/shadow".into(),
+                size: 10_000_000,
+            },
+            streams: 4,
+            tcp_buffer: 1_000_000,
+            partial: None,
+        };
+        let third_party = TransferRequest {
+            client: anl,
+            kind: TransferKind::ThirdParty {
+                from: lbl,
+                to: isi,
+                path: "/archive/run.dat".into(),
+            },
+            streams: 8,
+            tcp_buffer: 1_000_000,
+            partial: None,
+        };
+        let mut eng = Engine::new(net);
+        let id = eng.add_agent(Box::new(Driver {
+            mgr,
+            script: vec![
+                (SimDuration::from_secs(1), put),
+                (SimDuration::from_secs(2), third_party),
+            ],
+            completed: Vec::new(),
+            errors: Vec::new(),
+        }));
+        eng.run_until(SimTime::from_secs(120));
+        let d = eng.agent::<Driver>(id).unwrap();
+        assert_eq!(
+            d.errors,
+            vec![
+                SubmitError::NoVolume("/etc/shadow".into()),
+                SubmitError::NoVolume("/archive/run.dat".into()),
+            ]
+        );
+        assert!(d.completed.is_empty());
+        assert_eq!(d.mgr.inflight_count(), 0);
+        assert_eq!(d.mgr.server_log(lbl).unwrap().len(), 0);
+        assert_eq!(d.mgr.server_log(isi).unwrap().len(), 0);
     }
 
     // ---- faults and retries -------------------------------------------

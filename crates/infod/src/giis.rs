@@ -188,11 +188,6 @@ impl Giis {
         self.state.lock().available = available;
     }
 
-    /// Whether the index currently accepts registrations.
-    pub fn is_available(&self) -> bool {
-        self.state.lock().available
-    }
-
     /// A registrant's current retry delay in seconds (0 when healthy).
     pub fn backoff_delay(&self, id: &str) -> u64 {
         self.state

@@ -132,11 +132,6 @@ impl Entry {
         self.attrs.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
     }
 
-    /// Number of distinct attribute names.
-    pub fn attr_count(&self) -> usize {
-        self.attrs.len()
-    }
-
     /// Render as an LDIF block (DN line then `name: value` lines).
     pub fn to_ldif(&self) -> String {
         let mut s = String::new();

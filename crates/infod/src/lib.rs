@@ -5,8 +5,8 @@
 //!
 //! * [`ldif`] — LDAP-style entries with DNs, multi-valued attributes and
 //!   LDIF serialization (the Figure 6 output format).
-//! * [`schema`] — the `GridFTPPerfInfo` / `GridFTPServerInfo` object
-//!   classes and entry validation.
+//! * [`schema`] — the `GridFTPPerfInfo` object class (the Figure 6
+//!   attributes) and entry validation.
 //! * [`filter`] — an RFC 2254-subset search-filter language for
 //!   inquiries.
 //! * [`gris`] — the per-site Grid Resource Information Service with
@@ -15,8 +15,6 @@
 //!   protocol (Figure 5).
 //! * [`provider`] — the GridFTP performance provider that digests
 //!   transfer logs into statistics and predictions.
-//! * [`server_provider`] — static `GridFTPServerInfo` endpoint facts
-//!   (URL, port, exported volumes).
 //! * [`service`] — the unified [`InquiryService`] surface all directory
 //!   services answer through.
 //! * [`serve`] — the sharded, snapshot-swapping serving layer with
@@ -35,7 +33,6 @@ pub mod ldif;
 pub mod provider;
 pub mod schema;
 pub mod serve;
-pub mod server_provider;
 pub mod service;
 
 pub use error::{Error, InquiryError};
@@ -47,10 +44,9 @@ pub use gris::{
 };
 pub use ldif::{to_ldif_document, Dn, Entry, LdifError};
 pub use provider::{GridFtpPerfProvider, LogSource, ProviderConfig};
-pub use schema::{Schema, SchemaError, GRIDFTP_PERF_INFO, GRIDFTP_SERVER_INFO};
+pub use schema::{Schema, SchemaError, GRIDFTP_PERF_INFO};
 pub use serve::loadgen::{run_open_loop, OpenLoopConfig, OpenLoopReport};
 pub use serve::{AdmissionConfig, ServeConfig, ShardedServer};
-pub use server_provider::{ServerInfo, ServerInfoProvider};
 pub use service::{
     CacheStatus, InquiryRequest, InquiryResponse, InquiryService, Provenance, ServedBy,
 };

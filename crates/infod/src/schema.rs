@@ -54,13 +54,6 @@ pub const GRIDFTP_PERF_INFO: ObjectClass = ObjectClass {
     ],
 };
 
-/// The GridFTP server endpoint description.
-pub const GRIDFTP_SERVER_INFO: ObjectClass = ObjectClass {
-    name: "GridFTPServerInfo",
-    required: &["hostname", "gridftpurl", "port"],
-    optional: &["version", "storagevolumes"],
-};
-
 /// A schema: the set of known object classes.
 #[derive(Debug, Clone, Default)]
 pub struct Schema {
@@ -101,11 +94,10 @@ impl std::fmt::Display for SchemaError {
 impl std::error::Error for SchemaError {}
 
 impl Schema {
-    /// The workspace's standard schema (both GridFTP classes).
+    /// The workspace's standard schema (the GridFTP performance class).
     pub fn standard() -> Self {
         let mut s = Schema::default();
         s.add(GRIDFTP_PERF_INFO);
-        s.add(GRIDFTP_SERVER_INFO);
         s
     }
 
@@ -216,7 +208,7 @@ mod tests {
     fn class_lookup_case_insensitive() {
         let s = Schema::standard();
         assert!(s.class("gridftpperfinfo").is_some());
-        assert!(s.class("GRIDFTPSERVERINFO").is_some());
+        assert!(s.class("GRIDFTPPERFINFO").is_some());
         assert!(s.class("nope").is_none());
     }
 }

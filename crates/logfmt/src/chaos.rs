@@ -34,11 +34,6 @@ impl ChaosConfig {
     pub fn new(rate: f64, seed: u64) -> Self {
         ChaosConfig { rate, seed }
     }
-
-    /// The same config with a different seed (per-target decorrelation).
-    pub fn with_seed(self, seed: u64) -> Self {
-        ChaosConfig { seed, ..self }
-    }
 }
 
 /// Which corruption was applied to a line.

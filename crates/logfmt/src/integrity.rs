@@ -14,12 +14,10 @@
 //! The implementation is dependency-free: the CRC-32 table is built by a
 //! `const fn` at compile time.
 
-/// The trailer keyword. Kept out of [`crate::ulm::keys`] deliberately:
-/// it is framing, not record vocabulary, and must not participate in the
-/// encode/decode coherence check.
-pub const CRC_KEY: &str = "CRC";
-
 /// The ` CRC=` marker that separates record content from its trailer.
+/// Its keyword is kept out of [`crate::ulm::keys`] deliberately: it is
+/// framing, not record vocabulary, and must not participate in the
+/// encode/decode coherence check.
 const MARKER: &str = " CRC=";
 
 const fn build_table() -> [u32; 256] {

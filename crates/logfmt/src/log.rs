@@ -225,12 +225,6 @@ impl TransferLog {
         salvage_doc(doc, &SalvageOptions::default())
     }
 
-    /// [`TransferLog::salvage_ulm`] with explicit decoding options
-    /// (e.g. [`SalvageOptions::strict`]).
-    pub fn salvage_ulm_with(doc: &str, opts: &SalvageOptions) -> (Self, SalvageReport) {
-        salvage_doc(doc, opts)
-    }
-
     /// Write the log to a file in ULM format. The write is atomic
     /// (tmp file + fsync + rename): a crash leaves either the previous
     /// file or the complete new one.

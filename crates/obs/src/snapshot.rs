@@ -92,11 +92,6 @@ impl Snapshot {
         out
     }
 
-    /// Atomically write the JSON rendering to `path`.
-    pub fn save_json(&self, path: &Path) -> io::Result<()> {
-        atomic_write(path, &self.to_json())
-    }
-
     /// Atomically write the checksummed ULM rendering to `path`.
     pub fn save_ulm(&self, path: &Path) -> io::Result<()> {
         atomic_write(path, &self.to_ulm_lines())

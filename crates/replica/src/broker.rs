@@ -256,11 +256,6 @@ impl TopKSelection {
         self.ranked.iter().map(move |&i| &self.scores[i].replica)
     }
 
-    /// The chosen scores, best first.
-    pub fn chosen_scores(&self) -> impl Iterator<Item = &ReplicaScore> {
-        self.ranked.iter().map(move |&i| &self.scores[i])
-    }
-
     /// The top-ranked candidate's score.
     pub fn best(&self) -> &ReplicaScore {
         let &i = self

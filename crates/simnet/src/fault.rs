@@ -279,14 +279,6 @@ impl FaultSchedule {
         self.events.is_empty()
     }
 
-    /// Count of actions of the kill kind (diagnostics).
-    pub fn kill_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.action, FaultAction::KillFlows(_)))
-            .count()
-    }
-
     /// Count of outage windows (diagnostics).
     pub fn outage_count(&self) -> usize {
         self.events

@@ -138,11 +138,6 @@ impl SimDuration {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
 
-    /// True when this is the zero duration.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Multiply by a non-negative float, rounding to the nearest
     /// microsecond. Used when scaling model intervals by random factors.
     pub fn mul_f64(self, k: f64) -> Self {

@@ -135,11 +135,6 @@ impl StorageServer {
         Some(self.spec.per_access(a.kind, self.disk_population()))
     }
 
-    /// Iterate over open access ids (to update caps after churn).
-    pub fn access_ids(&self) -> impl Iterator<Item = AccessId> + '_ {
-        self.active.keys().copied()
-    }
-
     /// Fixed per-operation latency to charge when opening.
     pub fn op_overhead(&self) -> wanpred_simnet::time::SimDuration {
         self.spec.op_overhead

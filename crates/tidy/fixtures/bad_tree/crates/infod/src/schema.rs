@@ -5,9 +5,3 @@ pub const GRIDFTP_PERF_INFO: ObjectClass = ObjectClass {
     required: &["cn", "hostname"],
     optional: &["avgrdbandwidth", "numtransfers"],
 };
-
-pub const GRIDFTP_SERVER_INFO: ObjectClass = ObjectClass {
-    name: "GridFTPServerInfo",
-    required: &["hostname", "port"],
-    optional: &["version"],
-};

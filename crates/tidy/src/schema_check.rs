@@ -15,8 +15,8 @@
 //!    provider publishes (`infod::provider`), every degraded-mode
 //!    attribute the GRIS itself stamps onto cached entries
 //!    (`infod::gris`), and every attribute the replica broker queries
-//!    (`replica::broker`) must be declared in `infod::schema`, and every
-//!    performance attribute the perf object class declares must actually
+//!    (`replica::broker`) must be declared in `infod::schema`'s perf
+//!    object class, and every attribute that class declares must actually
 //!    be emitted somewhere. A typo'd attribute name otherwise just reads
 //!    as "absent" at run time.
 //!
@@ -127,11 +127,8 @@ fn check_ldap_attrs(root: &Path, findings: &mut Vec<Finding>) {
         return;
     };
 
-    // Declared: candidate-shaped literals inside the object-class consts.
-    let perf_declared = class_attrs(&schema, "GRIDFTP_PERF_INFO");
-    let server_declared = class_attrs(&schema, "GRIDFTP_SERVER_INFO");
-    let declared: BTreeSet<String> = perf_declared.union(&server_declared).cloned().collect();
-    let _ = schema_rel;
+    // Declared: candidate-shaped literals inside the perf object class.
+    let declared = class_attrs(&schema, "GRIDFTP_PERF_INFO");
 
     // Emitted: attribute-name first arguments of `.add(`/`.set(` calls in
     // the provider (steady state) and the GRIS (degraded-mode stamps like
@@ -168,7 +165,7 @@ fn check_ldap_attrs(root: &Path, findings: &mut Vec<Finding>) {
     }
     // Declared perf attributes must actually be published.
     if any_emitter {
-        for attr in &perf_declared {
+        for attr in &declared {
             if !emitted.contains(attr) {
                 findings.push(Finding::cross_file(
                     RULE,

@@ -1,13 +1,11 @@
 //! The delivery infrastructure walkthrough (paper §5, Figures 5–6):
-//! a GridFTP control-channel session, the information provider's LDIF
-//! output, soft-state GRIS→GIIS registration, and LDAP-filter inquiries.
+//! the information provider's LDIF output, soft-state GRIS→GIIS
+//! registration, and LDAP-filter inquiries.
 //!
 //! Run with: `cargo run --release -p wanpred-core --example information_service`
 
 use std::sync::Arc;
 
-use wanpred_core::gridftp::protocol::{parse, Command};
-use wanpred_core::gridftp::Session;
 use wanpred_core::infod::{
     run_open_loop, Dn, Giis, GridFtpPerfProvider, Gris, InquiryRequest, InquiryService,
     OpenLoopConfig, ProviderConfig, Registration, Schema, ServeConfig, ShardedServer,
@@ -15,42 +13,8 @@ use wanpred_core::infod::{
 use wanpred_core::prelude::*;
 
 fn main() {
-    // --- 1. A control-channel session negotiating a transfer. -----------
-    println!("== GridFTP control channel ==");
-    let storage = StorageServer::vintage_with_paper_fileset("lbl-disk");
-    let mut session = Session::new();
-    for line in [
-        "AUTH GSSAPI",
-        "USER :globus-mapping:",
-        "PASS",
-        "TYPE I",
-        "MODE E",
-        "SBUF 1000000",
-        "OPTS RETR Parallelism=8,8,8;",
-        "SPAS",
-        "SIZE /home/ftp/vazhkuda/100MB",
-        "RETR /home/ftp/vazhkuda/100MB",
-    ] {
-        let cmd: Command = match parse(line) {
-            Ok(c) => c,
-            Err(e) => {
-                println!("C> {line}\nS> parse error: {e}");
-                continue;
-            }
-        };
-        let (reply, plan) = session.handle(&cmd, &storage);
-        println!("C> {line}");
-        println!("S> {reply}");
-        if let Some(p) = plan {
-            println!(
-                "   negotiated: {} bytes, {} streams, {} B buffers",
-                p.bytes, p.streams, p.tcp_buffer
-            );
-        }
-    }
-
-    // --- 2. Logs -> provider -> LDIF (Figure 6). -------------------------
-    println!("\n== information provider output (Figure 6 style) ==");
+    // --- 1. Logs -> provider -> LDIF (Figure 6). -------------------------
+    println!("== information provider output (Figure 6 style) ==");
     let cfg = CampaignConfig {
         seed: MasterSeed(3),
         duration: SimDuration::from_days(3),
@@ -72,7 +36,7 @@ fn main() {
         println!("{}", e.to_ldif());
     }
 
-    // --- 3. GRIS -> GIIS soft-state registration + inquiry (Figure 5). --
+    // --- 2. GRIS -> GIIS soft-state registration + inquiry (Figure 5). --
     println!("== GIIS inquiry ==");
     let mut gris = Gris::new(Dn::parse("o=grid").expect("constant"));
     gris.register_provider(Box::new(provider));
@@ -111,7 +75,7 @@ fn main() {
     assert!(giis.inquire(&req).expect("giis answers").entries.is_empty());
     println!("after ttl expiry with no renewal: 0 entries (soft state)");
 
-    // --- 4. The sharded serving layer under open-loop load. --------------
+    // --- 3. The sharded serving layer under open-loop load. --------------
     println!("\n== sharded serving layer ==");
     let server = ShardedServer::new(ServeConfig {
         admission: Some(Default::default()),

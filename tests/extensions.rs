@@ -1,8 +1,8 @@
-//! Integration tests for the beyond-the-paper extensions: the
-//! protocol-level client, striped transfers through the campaign
-//! substrate, and the rotating log writer on real logs.
+//! Integration tests for the beyond-the-paper extensions: striped
+//! transfers through the campaign substrate and the rotating log writer
+//! on real logs.
 
-use wanpred_core::gridftp::{ClientSettings, GridFtpClient, TransferKind};
+use wanpred_core::gridftp::TransferKind;
 use wanpred_core::logfmt::{RotatingLogWriter, RotationConfig};
 use wanpred_core::prelude::*;
 
@@ -13,34 +13,6 @@ fn campaign(days: u64) -> CampaignResult {
         probes: false,
         ..CampaignConfig::august(321)
     })
-}
-
-#[test]
-fn protocol_client_plan_matches_campaign_logging() {
-    // The client negotiates exactly the parameters the campaign logs.
-    let storage = StorageServer::vintage_with_paper_fileset("x");
-    let mut client = GridFtpClient::new(ClientSettings::paper_tuned());
-    let plan = client.get("/home/ftp/vazhkuda/250MB", &storage).unwrap();
-
-    let r = campaign(2);
-    let rec = r
-        .lbl_log
-        .records()
-        .iter()
-        .find(|rec| rec.file_name.ends_with("250MB"))
-        .expect("250MB transferred within two days");
-    assert_eq!(plan.streams, rec.streams);
-    assert_eq!(plan.tcp_buffer, rec.tcp_buffer);
-    assert_eq!(plan.bytes, rec.file_size);
-    // The transcript shows the full negotiated sequence.
-    assert!(client
-        .transcript()
-        .iter()
-        .any(|e| e.command == "SBUF 1000000"));
-    assert!(client
-        .transcript()
-        .iter()
-        .any(|e| e.command.contains("Parallelism=8")));
 }
 
 #[test]
