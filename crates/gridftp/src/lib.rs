@@ -2,15 +2,15 @@
 //!
 //! A GridFTP-like high-performance transfer service over the `wanpred`
 //! simulator, instrumented exactly as the paper's modified Globus server
-//! (§3): every transfer — `GET`, `PUT`, partial, or third-party — emits a
-//! ULM log record carrying the Figure 3 fields, with the end-to-end
-//! bandwidth defined as `file size / transfer time` over the whole
-//! operation (control setup, storage, and wire time included).
+//! (§3): every transfer — a whole-file or partial `GET` — emits one ULM
+//! log record at its server carrying the Figure 3 fields, with the
+//! end-to-end bandwidth defined as `file size / transfer time` over the
+//! whole operation (control setup, storage, and wire time included).
 //!
-//! * [`transfer`] — the [`transfer::TransferManager`] executing transfers
-//!   as simulated flows: control-setup latency, parallel streams, TCP
-//!   buffer limits, storage-contention caps, and per-server transfer
-//!   logs. The control channel is not simulated command by command: its
+//! * [`transfer`] — the [`transfer::TransferManager`] executing each
+//!   transfer as one simulated flow: control-setup latency, parallel
+//!   streams, TCP buffer limits, storage-contention caps, retries, and
+//!   per-server transfer logs. The control channel is not simulated command by command: its
 //!   whole cost is `AUTH_DELAY + SETUP_ROUND_TRIPS × RTT`, charged before
 //!   the data flows start.
 //! * [`instrument`] — the paper's logging-overhead claims (≈25 ms/record,

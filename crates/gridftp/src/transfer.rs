@@ -1,32 +1,30 @@
-//! Transfer execution: turning negotiated transfers into simulated
-//! network flows with storage contention and end-to-end instrumentation.
+//! Transfer execution: turning GridFTP GETs into simulated network flows
+//! with storage contention and end-to-end instrumentation.
 //!
 //! [`TransferManager`] is designed to be *embedded* in a simulation agent
 //! (the testbed's campaign driver, the examples' clients): the agent
 //! forwards timer events whose tags satisfy [`owns_tag`] and all flow
 //! completions to the manager, and receives [`CompletedTransfer`]s back.
 //!
-//! A transfer is one or more **legs** — classic GET/PUT and third-party
-//! transfers have a single data leg; striped transfers (GridFTP's
-//! SPAS/SPOR striping) have one leg per stripe server, each moving its
-//! share of the payload in parallel. A transfer's life cycle:
+//! A transfer is one GET — whole-file or partial — on one data leg,
+//! server → client. Striping a file across replicas is the
+//! co-allocator's job (`wanpred-replica`), which splits it into partial
+//! GETs. A transfer's life cycle:
 //!
-//! 1. **submit** — the request is validated against the server catalogs
-//!    (GridFTP would return `550`, `553` or `554` here); a timer models
-//!    the whole control channel, `AUTH_DELAY + SETUP_ROUND_TRIPS × RTT`:
-//!    GSI authentication plus the command round trips to the farthest
-//!    involved server.
-//! 2. **setup fires** — every leg opens its storage accesses (charging
-//!    the disk's positioning overhead) and starts its data flow with the
-//!    negotiated stream count and buffer; every *other* in-flight
-//!    transfer touching those servers gets its storage cap re-evaluated
-//!    (one more concurrent access slows everyone: §3).
-//! 3. **legs complete** — as each leg's flow drains, its accesses close
-//!    (again re-evaluating peers). When the last leg lands, `STOR`
-//!    targets appear in the destination catalog and each involved server
-//!    writes a ULM record for the bytes *it* served, with the total time
-//!    spanning submit→completion — the paper's end-to-end definition
-//!    including protocol overheads.
+//! 1. **submit** — the request is validated against the server's catalog
+//!    (GridFTP would return `550` or `554` here); a timer models the
+//!    whole control channel, `AUTH_DELAY + SETUP_ROUND_TRIPS × RTT`: GSI
+//!    authentication plus the command round trips to the server.
+//! 2. **setup fires** — the server opens a read access and the data flow
+//!    starts with the negotiated stream count and buffer; every *other*
+//!    in-flight transfer reading from that server gets its storage cap
+//!    re-evaluated (one more concurrent access slows everyone: §3). Disk
+//!    positioning is not modelled: an access costs only its contended
+//!    share of the disk rate.
+//! 3. **the flow completes** — the access closes (again re-evaluating
+//!    peers) and the server writes one ULM record for the payload, with
+//!    the total time spanning submit→completion — the paper's end-to-end
+//!    definition including protocol overheads.
 
 use std::collections::BTreeMap;
 
@@ -50,7 +48,7 @@ const KIND_SHIFT: u32 = 56;
 const ATTEMPT_SHIFT: u32 = 48;
 /// Low bits holding the transfer id.
 const ID_MASK: u64 = (1 << ATTEMPT_SHIFT) - 1;
-/// Timer kind: control-channel setup finished, start the data flows.
+/// Timer kind: control-channel setup finished, start the data flow.
 const KIND_SETUP: u64 = 0;
 /// Timer kind: the per-attempt deadline expired.
 const KIND_DEADLINE: u64 = 1;
@@ -79,16 +77,17 @@ pub fn owns_tag(tag: TimerTag) -> bool {
 ///
 /// An *attempt* ends in one of three ways: completion, a connection
 /// reset (an injected flow kill), or the attempt deadline expiring. On
-/// the latter two, surviving legs are torn down, the delivered byte
-/// counts are retained, and — while the attempt budget lasts — a fresh
-/// attempt is scheduled after an exponentially growing, jittered backoff
-/// that resumes each leg from its delivered offset via the partial
-/// (`REST`) machinery. Backoff for completed attempt `k` (1-based) is
+/// the latter two, the data flow is torn down, the delivered byte count
+/// is retained, and — while the attempt budget lasts — a fresh attempt
+/// is scheduled after an exponentially growing, jittered backoff that
+/// resumes from the delivered offset via the partial (`REST`)
+/// machinery. Backoff for completed attempt `k` (1-based) is
 /// `min(backoff_base * backoff_factor^(k-1), backoff_max)`, scaled by a
 /// deterministic jitter in `[1 - jitter_frac, 1 + jitter_frac)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
-    /// Total attempt budget, including the first try (≥ 1).
+    /// Total attempt budget, including the first try (`1..=255`: timer
+    /// tags carry the attempt number in eight bits).
     pub max_attempts: u32,
     /// Backoff before the second attempt.
     pub backoff_base: SimDuration,
@@ -177,7 +176,7 @@ pub enum TransferEvent {
         delay: SimDuration,
         /// What ended the previous attempt.
         reason: FailureReason,
-        /// Bytes delivered so far across all attempts and legs.
+        /// Bytes delivered so far across all attempts.
         delivered_bytes: u64,
     },
     /// The transfer exhausted its attempt budget and was abandoned.
@@ -189,7 +188,7 @@ pub enum TransferEvent {
         attempts: u32,
         /// What ended the final attempt.
         reason: FailureReason,
-        /// Bytes delivered so far across all attempts and legs.
+        /// Bytes delivered so far across all attempts.
         delivered_bytes: u64,
     },
 }
@@ -198,7 +197,7 @@ pub enum TransferEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TransferToken(pub u64);
 
-/// What kind of transfer to perform.
+/// What kind of transfer to perform: a GET is the only kind.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TransferKind {
     /// Client retrieves `path` from `server` (server → client).
@@ -206,35 +205,6 @@ pub enum TransferKind {
         /// Serving node.
         server: NodeId,
         /// File path on the server.
-        path: String,
-    },
-    /// Client stores `size` bytes as `path` on `server` (client → server).
-    Put {
-        /// Receiving node.
-        server: NodeId,
-        /// Destination path on the server.
-        path: String,
-        /// Payload size in bytes.
-        size: u64,
-    },
-    /// Third-party: `from` server sends `path` directly to `to` server,
-    /// orchestrated by the client's control channels.
-    ThirdParty {
-        /// Source server.
-        from: NodeId,
-        /// Destination server.
-        to: NodeId,
-        /// File path on the source server.
-        path: String,
-    },
-    /// Striped retrieve: every server in `servers` holds a replica of
-    /// `path`; each serves an even share of the bytes to the client in
-    /// parallel (GridFTP SPAS striping). The transfer completes when the
-    /// last stripe lands.
-    StripedGet {
-        /// Stripe servers (each must hold the file; sizes must agree).
-        servers: Vec<NodeId>,
-        /// File path on the stripe servers.
         path: String,
     },
 }
@@ -246,11 +216,11 @@ pub struct TransferRequest {
     pub client: NodeId,
     /// What to transfer.
     pub kind: TransferKind,
-    /// Parallel stream count (per leg, for striped transfers).
+    /// Parallel stream count.
     pub streams: u32,
     /// Per-stream TCP buffer bytes.
     pub tcp_buffer: u64,
-    /// Optional partial transfer `(offset, length)` (GETs only).
+    /// Optional partial transfer `(offset, length)`.
     pub partial: Option<(u64, u64)>,
 }
 
@@ -263,14 +233,10 @@ pub enum SubmitError {
     FileNotFound(String),
     /// Partial-transfer offset beyond end of file (554).
     BadOffset,
-    /// A write target lies outside every volume of its server (553).
-    NoVolume(String),
-    /// The topology has no route for a data leg.
+    /// The topology has no route for the data leg.
     NoRoute,
-    /// A striped request listed no servers.
+    /// A co-allocated request listed no sources.
     NoStripes,
-    /// Stripe replicas disagree on the file size.
-    StripeSizeMismatch,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -279,10 +245,8 @@ impl std::fmt::Display for SubmitError {
             SubmitError::NotAServer(n) => write!(f, "{n} is not a GridFTP server"),
             SubmitError::FileNotFound(p) => write!(f, "550 no such file: {p}"),
             SubmitError::BadOffset => write!(f, "554 offset beyond end of file"),
-            SubmitError::NoVolume(p) => write!(f, "553 path outside any volume: {p}"),
             SubmitError::NoRoute => write!(f, "no route for data path"),
             SubmitError::NoStripes => write!(f, "striped request with no servers"),
-            SubmitError::StripeSizeMismatch => write!(f, "stripe replicas disagree on size"),
         }
     }
 }
@@ -296,9 +260,9 @@ pub struct CompletedTransfer {
     pub token: TransferToken,
     /// Submit time.
     pub submitted: SimTime,
-    /// Completion time (last leg).
+    /// Completion time.
     pub finished: SimTime,
-    /// Total bytes moved across all legs.
+    /// Payload bytes moved (the requested range, across all attempts).
     pub bytes: u64,
     /// End-to-end bandwidth in KB/s over submit→finish (the paper's
     /// definition: file size / transfer time). For transfers that
@@ -307,9 +271,7 @@ pub struct CompletedTransfer {
     pub bandwidth_kbs: f64,
     /// Attempts consumed (1 = clean first try).
     pub attempts: u32,
-    /// A record describing the whole logical transfer from the primary
-    /// server's perspective (for single-leg transfers this is exactly
-    /// the record appended to the primary server's log).
+    /// The record appended to the server's log.
     pub record: TransferRecord,
 }
 
@@ -352,59 +314,39 @@ struct ServerRuntime {
     log: TransferLog,
 }
 
-/// One data leg of a transfer.
-struct Leg {
-    src: NodeId,
-    dst: NodeId,
-    /// Bytes the *current* attempt still has to move on this leg.
-    bytes: u64,
-    /// Bytes delivered by earlier (failed) attempts: the REST offset the
-    /// current attempt resumes from. The leg's original share is
-    /// `bytes + prior_delivered`.
-    prior_delivered: u64,
-    flow: Option<FlowId>,
-    src_access: Option<(NodeId, AccessId)>,
-    dst_access: Option<(NodeId, AccessId)>,
-    done: bool,
-}
-
-impl Leg {
-    /// Bytes delivered so far across all attempts.
-    fn delivered(&self) -> u64 {
-        if self.done {
-            self.prior_delivered + self.bytes
-        } else {
-            self.prior_delivered
-        }
-    }
-
-    /// The leg's original payload share (for logging).
-    fn share(&self) -> u64 {
-        self.bytes + self.prior_delivered
-    }
-}
-
-/// In-flight transfer state.
+/// In-flight transfer state: one GET on one server → client data leg.
 struct Inflight {
     token: TransferToken,
     client: NodeId,
-    /// Primary logging server (the storage-operating server closest to
-    /// the paper's instrumented endpoint; first stripe for striped).
-    primary: NodeId,
+    /// The serving node, which logs the transfer.
+    server: NodeId,
     path: String,
     volume: String,
-    total_bytes: u64,
+    /// Bytes the *current* attempt still has to move.
+    bytes: u64,
+    /// Bytes delivered by earlier (failed) attempts: the REST offset the
+    /// current attempt resumes from. The payload is
+    /// `bytes + prior_delivered`.
+    prior_delivered: u64,
     streams: u32,
     tcp_buffer: u64,
-    /// On completion of a PUT/third-party, register the file here.
-    register_at: Option<NodeId>,
     submitted: SimTime,
-    legs: Vec<Leg>,
-    pending: usize,
+    /// The current attempt's data flow, once its setup has fired.
+    flow: Option<FlowId>,
+    /// The current attempt's read access at the server.
+    access: Option<AccessId>,
     /// Current attempt number (1-based; bumped when a retry is scheduled).
     attempt: u32,
     /// Control-channel setup delay, re-charged on every attempt.
     setup: SimDuration,
+}
+
+impl Inflight {
+    /// Whole bytes of the current attempt's flow delivered at progress
+    /// `fraction`, floored so a resume from them never skips data.
+    fn moved(&self, fraction: f64) -> u64 {
+        ((fraction * self.bytes as f64).floor() as u64).min(self.bytes)
+    }
 }
 
 /// The embedded transfer engine.
@@ -456,8 +398,18 @@ impl TransferManager {
     /// Install a retry/timeout policy (attempt deadlines, exponential
     /// backoff, resume-from-offset). Without one, a connection reset
     /// fails the transfer outright and no deadlines are armed.
+    ///
+    /// # Panics
+    ///
+    /// If `max_attempts` lies outside `1..=255`: timer tags carry the
+    /// attempt number in eight bits, so attempt 256 would alias attempt
+    /// 0 and its setup timer would be dropped as stale.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         assert!(policy.max_attempts >= 1, "need at least one attempt");
+        assert!(
+            policy.max_attempts <= 0xFF,
+            "timer tags hold at most 255 attempts"
+        );
         self.retry = Some(policy);
     }
 
@@ -506,32 +458,6 @@ impl TransferManager {
             .unwrap_or_else(|| (format!("{node}"), format!("{node}")))
     }
 
-    /// Look up a file on a registered server.
-    fn lookup(&self, server: NodeId, path: &str) -> Result<u64, SubmitError> {
-        let rt = self
-            .servers
-            .get(&server)
-            .ok_or(SubmitError::NotAServer(server))?;
-        rt.storage
-            .catalog()
-            .lookup(path)
-            .map(|e| e.size)
-            .map_err(|_| SubmitError::FileNotFound(path.to_string()))
-    }
-
-    /// Check that a write target on a registered server lies inside one
-    /// of its volumes (GridFTP refuses such a `STOR` with `553`).
-    fn check_volume(&self, server: NodeId, path: &str) -> Result<(), SubmitError> {
-        let rt = self
-            .servers
-            .get(&server)
-            .ok_or(SubmitError::NotAServer(server))?;
-        match rt.storage.catalog().volume_of(path) {
-            Some(_) => Ok(()),
-            None => Err(SubmitError::NoVolume(path.to_string())),
-        }
-    }
-
     /// Submit a transfer. On success, the data starts flowing after the
     /// control-channel setup delay and the completion arrives through
     /// [`TransferManager::on_flow_complete`].
@@ -540,86 +466,36 @@ impl TransferManager {
         ctx: &mut Ctx<'_>,
         req: TransferRequest,
     ) -> Result<TransferToken, SubmitError> {
-        let apply_partial = |total: u64, partial: Option<(u64, u64)>| -> Result<u64, SubmitError> {
-            match partial {
-                Some((off, len)) => {
-                    // Any nonzero offset at or past EOF is a 554 — including
-                    // into a zero-size file, where `total - off` would wrap.
-                    if off > 0 && off >= total {
-                        return Err(SubmitError::BadOffset);
-                    }
-                    Ok(len.min(total - off))
+        let TransferKind::Get { server, path } = req.kind;
+        let rt = self
+            .servers
+            .get(&server)
+            .ok_or(SubmitError::NotAServer(server))?;
+        let total = rt
+            .storage
+            .catalog()
+            .lookup(&path)
+            .map(|e| e.size)
+            .map_err(|_| SubmitError::FileNotFound(path.clone()))?;
+        let bytes = match req.partial {
+            Some((off, len)) => {
+                // Any nonzero offset at or past EOF is a 554 — including
+                // into a zero-size file, where `total - off` would wrap.
+                if off > 0 && off >= total {
+                    return Err(SubmitError::BadOffset);
                 }
-                None => Ok(total),
+                len.min(total - off)
             }
+            None => total,
         };
 
-        // Resolve legs, the primary server and registration target.
-        // (src, dst, bytes) triples for every data leg.
-        type LegSpec = (NodeId, NodeId, u64);
-        let (legs, primary, path, register_at): (Vec<LegSpec>, NodeId, String, Option<NodeId>) =
-            match &req.kind {
-                TransferKind::Get { server, path } => {
-                    let total = self.lookup(*server, path)?;
-                    let bytes = apply_partial(total, req.partial)?;
-                    (
-                        vec![(*server, req.client, bytes)],
-                        *server,
-                        path.clone(),
-                        None,
-                    )
-                }
-                TransferKind::Put { server, path, size } => {
-                    self.check_volume(*server, path)?;
-                    (
-                        vec![(req.client, *server, *size)],
-                        *server,
-                        path.clone(),
-                        Some(*server),
-                    )
-                }
-                TransferKind::ThirdParty { from, to, path } => {
-                    let total = self.lookup(*from, path)?;
-                    self.check_volume(*to, path)?;
-                    (vec![(*from, *to, total)], *from, path.clone(), Some(*to))
-                }
-                TransferKind::StripedGet { servers, path } => {
-                    if servers.is_empty() {
-                        return Err(SubmitError::NoStripes);
-                    }
-                    let sizes: Vec<u64> = servers
-                        .iter()
-                        .map(|s| self.lookup(*s, path))
-                        .collect::<Result<_, _>>()?;
-                    if sizes.iter().zip(sizes.iter().skip(1)).any(|(a, b)| a != b) {
-                        return Err(SubmitError::StripeSizeMismatch);
-                    }
-                    let first_size = *sizes
-                        .first()
-                        .expect("guarded: servers checked non-empty above");
-                    let bytes = apply_partial(first_size, req.partial)?;
-                    let legs = servers
-                        .iter()
-                        .zip(stripe_shares(bytes, servers.len()))
-                        .map(|(s, b)| (*s, req.client, b))
-                        .collect();
-                    let primary = *servers
-                        .first()
-                        .expect("guarded: servers checked non-empty above");
-                    (legs, primary, path.clone(), None)
-                }
-            };
+        // The data path must exist before we commit.
+        ctx.network()
+            .topology()
+            .route(server, req.client)
+            .map_err(|_| SubmitError::NoRoute)?;
 
-        // Every data path must exist before we commit.
-        for (src, dst, _) in &legs {
-            ctx.network()
-                .topology()
-                .route(*src, *dst)
-                .map_err(|_| SubmitError::NoRoute)?;
-        }
-
-        let primary_rt = self.servers.get(&primary).expect("validated above");
-        let volume = primary_rt
+        let volume = rt
             .storage
             .catalog()
             .volume_of(&path)
@@ -627,55 +503,32 @@ impl TransferManager {
             .unwrap_or_default();
 
         // Control-channel setup: GSI handshake plus command round trips
-        // between the client and the farthest involved server.
-        let rtt_to = |server: NodeId| -> SimDuration {
-            ctx.network()
-                .topology()
-                .rtt(req.client, server)
-                .unwrap_or(SimDuration::from_millis(1))
-        };
-        let mut control_rtt = SimDuration::ZERO;
-        for (src, dst, _) in &legs {
-            for node in [src, dst] {
-                if self.servers.contains_key(node) {
-                    control_rtt = control_rtt.max(rtt_to(*node));
-                }
-            }
-        }
-        let setup = AUTH_DELAY + control_rtt * SETUP_ROUND_TRIPS;
+        // between the client and the server.
+        let rtt = ctx
+            .network()
+            .topology()
+            .rtt(req.client, server)
+            .unwrap_or(SimDuration::from_millis(1));
+        let setup = AUTH_DELAY + rtt * SETUP_ROUND_TRIPS;
 
         let id = self.next;
         self.next += 1;
         let token = TransferToken(id);
-        let total_bytes = legs.iter().map(|(_, _, b)| b).sum();
-        let pending = legs.len();
         self.inflight.insert(
             id,
             Inflight {
                 token,
                 client: req.client,
-                primary,
+                server,
                 path,
                 volume,
-                total_bytes,
+                bytes,
+                prior_delivered: 0,
                 streams: req.streams.max(1),
                 tcp_buffer: req.tcp_buffer,
-                register_at,
                 submitted: ctx.now(),
-                legs: legs
-                    .into_iter()
-                    .map(|(src, dst, bytes)| Leg {
-                        src,
-                        dst,
-                        bytes,
-                        prior_delivered: 0,
-                        flow: None,
-                        src_access: None,
-                        dst_access: None,
-                        done: false,
-                    })
-                    .collect(),
-                pending,
+                flow: None,
+                access: None,
                 attempt: 1,
                 setup,
             },
@@ -702,68 +555,45 @@ impl TransferManager {
         true
     }
 
-    /// A setup timer fired: open storage accesses and start the data
-    /// flows for every unfinished leg, then arm the attempt deadline.
+    /// A setup timer fired: open the server's read access and start the
+    /// data flow, then arm the attempt deadline.
     fn start_attempt(&mut self, ctx: &mut Ctx<'_>, id: u64, attempt: u32) {
-        let Some(t) = self.inflight.get(&id) else {
+        let Some(t) = self.inflight.get_mut(&id) else {
             return; // stale timer for an aborted transfer
         };
         if t.attempt != attempt {
             return; // stale setup from a superseded attempt
         }
-        let path = t.path.clone();
-        let streams = t.streams;
-        let tcp_buffer = t.tcp_buffer;
-        let leg_specs: Vec<(usize, NodeId, NodeId, u64)> = t
-            .legs
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| !l.done)
-            .map(|(i, l)| (i, l.src, l.dst, l.bytes))
-            .collect();
+        let rt = self
+            .servers
+            .get_mut(&t.server)
+            .expect("submit checked the server");
+        t.access = Some(rt.storage.open_read(&t.path, t.bytes));
+        let spec = FlowSpec {
+            from: t.server,
+            to: t.client,
+            bytes: t.bytes,
+            streams: t.streams,
+            tcp: TcpParams {
+                buffer_bytes: t.tcp_buffer,
+                init_window: 2 * 1460,
+                mss: 1460,
+            },
+            external_cap: f64::INFINITY, // set by refresh_caps below
+        };
+        let flow = ctx
+            .start_flow(spec)
+            .expect("route validated at submit time");
+        t.flow = Some(flow);
+        let (server, remaining) = (t.server, t.bytes);
+        self.by_flow.insert(flow, id);
 
-        let mut touched = Vec::new();
-        for (i, src, dst, bytes) in leg_specs {
-            let src_access = self.servers.get_mut(&src).map(|rt| {
-                let a = rt.storage.open_read(&path, bytes);
-                (src, a)
-            });
-            let dst_access = self.servers.get_mut(&dst).map(|rt| {
-                let a = rt.storage.open_write(&path, bytes);
-                (dst, a)
-            });
-            let spec = FlowSpec {
-                from: src,
-                to: dst,
-                bytes,
-                streams,
-                tcp: TcpParams {
-                    buffer_bytes: tcp_buffer,
-                    init_window: 2 * 1460,
-                    mss: 1460,
-                },
-                external_cap: f64::INFINITY, // set by refresh_caps below
-            };
-            let flow = ctx
-                .start_flow(spec)
-                .expect("route validated at submit time");
-            let t = self.inflight.get_mut(&id).expect("checked above");
-            t.legs[i].src_access = src_access;
-            t.legs[i].dst_access = dst_access;
-            t.legs[i].flow = Some(flow);
-            self.by_flow.insert(flow, id);
-            touched.push(Some(src));
-            touched.push(Some(dst));
-        }
-
-        // Contention changed at every touched server: refresh every
-        // affected cap, including the new flows' own.
-        self.refresh_caps(ctx, &touched);
+        // Contention changed at the server: refresh every affected cap,
+        // including the new flow's own.
+        self.refresh_caps(ctx, server);
 
         // Arm this attempt's deadline, sized to its remaining bytes.
         if let Some(p) = &self.retry {
-            let t = &self.inflight[&id];
-            let remaining: u64 = t.legs.iter().filter(|l| !l.done).map(|l| l.bytes).sum();
             ctx.set_timer(p.deadline(remaining), deadline_tag(id, attempt));
         }
     }
@@ -784,63 +614,46 @@ impl TransferManager {
     /// Handle a flow-failed event (connection reset injected by the
     /// network). Returns `true` if the flow belonged to this manager.
     pub fn on_flow_failed(&mut self, ctx: &mut Ctx<'_>, failed: &FlowFailed) -> bool {
-        let Some(&id) = self.by_flow.get(&failed.id) else {
+        let Some(id) = self.by_flow.remove(&failed.id) else {
             return false;
         };
         // The network already tore the flow down: credit its delivered
-        // bytes to the leg, then fail the whole attempt (GridFTP aborts
-        // the transfer when any stripe's connection drops).
-        self.by_flow.remove(&failed.id);
+        // bytes, then fail the attempt.
         let t = self.inflight.get_mut(&id).expect("flow maps to inflight");
-        if let Some(leg) = t.legs.iter_mut().find(|l| l.flow == Some(failed.id)) {
-            leg.flow = None;
-            let delivered = failed.delivered_bytes.min(leg.bytes);
-            leg.prior_delivered += delivered;
-            leg.bytes -= delivered;
-        }
+        t.flow = None;
+        let delivered = failed.delivered_bytes.min(t.bytes);
+        t.prior_delivered += delivered;
+        t.bytes -= delivered;
         self.fail_attempt(ctx, id, FailureReason::ConnectionReset);
         true
     }
 
-    /// Tear down the current attempt (abort surviving flows, close
-    /// storage accesses, bank delivered bytes) and either schedule the
+    /// Tear down the current attempt (abort a surviving flow, close the
+    /// storage access, bank delivered bytes) and either schedule the
     /// next attempt or abandon the transfer.
     fn fail_attempt(&mut self, ctx: &mut Ctx<'_>, id: u64, reason: FailureReason) {
-        let mut touched = Vec::new();
-        {
-            let t = self
-                .inflight
-                .get_mut(&id)
-                .expect("failing unknown transfer");
-            for leg in &mut t.legs {
-                if leg.done {
-                    continue;
-                }
-                if let Some(flow) = leg.flow.take() {
-                    self.by_flow.remove(&flow);
-                    if let Some(fraction) = ctx.abort_flow(flow) {
-                        let delivered =
-                            ((fraction * leg.bytes as f64).floor() as u64).min(leg.bytes);
-                        leg.prior_delivered += delivered;
-                        leg.bytes -= delivered;
-                    }
-                }
-                for access in [leg.src_access.take(), leg.dst_access.take()]
-                    .into_iter()
-                    .flatten()
-                {
-                    let (node, a) = access;
-                    if let Some(rt) = self.servers.get_mut(&node) {
-                        rt.storage.close(a);
-                    }
-                    touched.push(Some(node));
-                }
+        let t = self
+            .inflight
+            .get_mut(&id)
+            .expect("failing unknown transfer");
+        if let Some(flow) = t.flow.take() {
+            self.by_flow.remove(&flow);
+            if let Some(fraction) = ctx.abort_flow(flow) {
+                let delivered = t.moved(fraction);
+                t.prior_delivered += delivered;
+                t.bytes -= delivered;
             }
         }
-        self.refresh_caps(ctx, &touched);
+        if let Some(access) = t.access.take() {
+            let server = t.server;
+            if let Some(rt) = self.servers.get_mut(&server) {
+                rt.storage.close(access);
+            }
+            self.refresh_caps(ctx, server);
+        }
 
         let t = self.inflight.get_mut(&id).expect("still present");
-        let delivered: u64 = t.legs.iter().map(Leg::delivered).sum();
+        let delivered = t.prior_delivered;
         let retry_allowed = self
             .retry
             .as_ref()
@@ -850,7 +663,6 @@ impl TransferManager {
             let policy = self.retry.as_ref().expect("checked above");
             let failed_attempts = t.attempt;
             t.attempt += 1;
-            t.pending = t.legs.iter().filter(|l| !l.done).count();
             let backoff = policy.backoff(id, failed_attempts);
             // Re-run control-channel setup after the backoff: retries pay
             // authentication and command round trips again.
@@ -875,127 +687,69 @@ impl TransferManager {
         }
     }
 
-    /// Handle a flow completion. Returns the completed transfer when its
-    /// *last* leg lands.
+    /// Handle a flow completion. Returns the completed transfer the flow
+    /// belonged to.
     pub fn on_flow_complete(
         &mut self,
         ctx: &mut Ctx<'_>,
         done: &FlowDone,
     ) -> Option<CompletedTransfer> {
         let id = self.by_flow.remove(&done.id)?;
-        let finished_all = {
-            let t = self.inflight.get_mut(&id).expect("flow maps to inflight");
-            let leg = t
-                .legs
-                .iter_mut()
-                .find(|l| l.flow == Some(done.id))
-                .expect("completed flow belongs to a leg");
-            leg.done = true;
-            t.pending -= 1;
-            let touched = [
-                leg.src_access.map(|(n, _)| n),
-                leg.dst_access.map(|(n, _)| n),
-            ];
-            // Close this leg's accesses.
-            let closes = [leg.src_access.take(), leg.dst_access.take()];
-            for (node, a) in closes.into_iter().flatten() {
-                if let Some(rt) = self.servers.get_mut(&node) {
-                    rt.storage.close(a);
-                }
+        let t = self.inflight.remove(&id).expect("flow maps to inflight");
+        if let Some(access) = t.access {
+            if let Some(rt) = self.servers.get_mut(&t.server) {
+                rt.storage.close(access);
             }
-            self.refresh_caps(ctx, &touched);
-            self.inflight[&id].pending == 0
-        };
-        if !finished_all {
-            return None;
-        }
-        let t = self.inflight.remove(&id).expect("checked above");
-
-        // A completed STOR/third-party target appears in the catalog.
-        if let Some(node) = t.register_at {
-            if let Some(rt) = self.servers.get_mut(&node) {
-                rt.storage
-                    .catalog_mut()
-                    .put_file(t.path.clone(), t.total_bytes)
-                    .expect("submit checked the target lies in a volume");
-            }
+            self.refresh_caps(ctx, t.server);
         }
 
         let finished = ctx.now();
         let total_s = finished.saturating_since(t.submitted).as_secs_f64();
         let start_unix = self.epoch_unix + t.submitted.as_secs();
         let end_unix = self.epoch_unix + finished.as_secs();
+        // A retried transfer logs its whole payload (earlier attempts'
+        // bytes included), not just the resumed tail. The remote party is
+        // the client, as in Figure 3 where LBL logs the ANL client.
+        let bytes = t.bytes + t.prior_delivered;
+        let (_, client_addr) = self.addr_of(t.client);
+        let (host, _) = self.addr_of(t.server);
+        let record = TransferRecordBuilder::new()
+            .source(client_addr)
+            .host(host)
+            .file_name(t.path)
+            .file_size(bytes)
+            .volume(t.volume)
+            .start_unix(start_unix)
+            .end_unix(end_unix)
+            .total_time_s(total_s)
+            .streams(t.streams)
+            .tcp_buffer(t.tcp_buffer)
+            .operation(Operation::Read)
+            .build()
+            .expect("all fields set");
 
-        let build_record =
-            |mgr: &Self, server_node: NodeId, remote: NodeId, bytes: u64, op: Operation| {
-                let (_, remote_addr) = mgr.addr_of(remote);
-                let (host, _) = mgr.addr_of(server_node);
-                TransferRecordBuilder::new()
-                    .source(remote_addr)
-                    .host(host)
-                    .file_name(t.path.clone())
-                    .file_size(bytes)
-                    .volume(t.volume.clone())
-                    .start_unix(start_unix)
-                    .end_unix(end_unix)
-                    .total_time_s(total_s)
-                    .streams(t.streams)
-                    .tcp_buffer(t.tcp_buffer)
-                    .operation(op)
-                    .build()
-                    .expect("all fields set")
-            };
+        // Span the modeled ULM append on the sim clock: the paper's
+        // ~25 ms logging overhead becomes a per-append duration
+        // histogram under the span's name.
+        let at = finished.as_micros();
+        let cost = crate::instrument::modeled_logging_cost(&record).as_micros();
+        self.obs.span_enter(names::GRIDFTP_LOG_APPEND, at);
+        self.obs.span_exit(names::GRIDFTP_LOG_APPEND, at + cost);
+        self.servers
+            .get_mut(&t.server)
+            .expect("submit checked the server")
+            .log
+            .append(record.clone());
 
-        // Each involved registered server logs the bytes it served; the
-        // remote party is the other data endpoint (or the client for
-        // GET/PUT, matching Figure 3 where LBL logs the ANL client).
-        // A retried leg logs its full original share (earlier attempts'
-        // bytes included), so per-server records sum to the file size.
-        for leg in &t.legs {
-            for (server_node, op_here) in [(leg.src, Operation::Read), (leg.dst, Operation::Write)]
-            {
-                if !self.servers.contains_key(&server_node) {
-                    continue;
-                }
-                let other = if server_node == leg.src {
-                    leg.dst
-                } else {
-                    leg.src
-                };
-                let remote = if self.servers.contains_key(&other) && other != t.client {
-                    other
-                } else {
-                    t.client
-                };
-                let record = build_record(self, server_node, remote, leg.share(), op_here);
-                // Span the modeled ULM append on the sim clock: the
-                // paper's ~25 ms logging overhead becomes a per-append
-                // duration histogram under the span's name.
-                let at = finished.as_micros();
-                let cost = crate::instrument::modeled_logging_cost(&record).as_micros();
-                self.obs.span_enter(names::GRIDFTP_LOG_APPEND, at);
-                self.obs.span_exit(names::GRIDFTP_LOG_APPEND, at + cost);
-                self.servers
-                    .get_mut(&server_node)
-                    .expect("checked above")
-                    .log
-                    .append(record);
-            }
-        }
-
-        // The logical-transfer record for the caller: total bytes from
-        // the primary server's perspective.
         self.obs.inc(names::GRIDFTP_COMPLETED);
         self.obs.observe(
             names::GRIDFTP_TRANSFER_DURATION_US,
             finished.saturating_since(t.submitted).as_micros(),
         );
-        self.obs
-            .observe(names::GRIDFTP_TRANSFER_BYTES, t.total_bytes);
+        self.obs.observe(names::GRIDFTP_TRANSFER_BYTES, bytes);
 
-        let record = build_record(self, t.primary, t.client, t.total_bytes, Operation::Read);
         let bandwidth_kbs = if total_s > 0.0 {
-            t.total_bytes as f64 / total_s / 1_000.0
+            bytes as f64 / total_s / 1_000.0
         } else {
             0.0
         };
@@ -1003,7 +757,7 @@ impl TransferManager {
             token: t.token,
             submitted: t.submitted,
             finished,
-            bytes: t.total_bytes,
+            bytes,
             bandwidth_kbs,
             attempts: t.attempt,
             record,
@@ -1012,89 +766,59 @@ impl TransferManager {
 
     /// Sample the payload bytes delivered so far by an in-flight transfer
     /// without disturbing it: prior-attempt credit plus the fluid
-    /// progress of every active leg flow, floored to whole bytes. The
-    /// floor means this never over-reports, so a REST resume from the
-    /// returned offset can never skip data. Returns `None` for unknown
-    /// (or already completed/aborted) tokens.
+    /// progress of the active flow, floored to whole bytes. The floor
+    /// means this never over-reports, so a REST resume from the returned
+    /// offset can never skip data. Returns `None` for unknown (or
+    /// already completed/aborted) tokens.
     pub fn progress(&self, ctx: &mut Ctx<'_>, token: TransferToken) -> Option<u64> {
         let t = self.inflight.get(&token.0)?;
-        let mut delivered = 0u64;
-        for leg in &t.legs {
-            delivered += leg.prior_delivered;
-            if leg.done {
-                delivered += leg.bytes;
-            } else if let Some(flow) = leg.flow {
-                let fraction = ctx.flow_progress(flow).unwrap_or(1.0);
-                delivered += ((fraction * leg.bytes as f64).floor() as u64).min(leg.bytes);
-            }
-        }
-        Some(delivered)
+        let moving = t
+            .flow
+            .map_or(0, |flow| t.moved(ctx.flow_progress(flow).unwrap_or(1.0)));
+        Some(t.prior_delivered + moving)
     }
 
     /// Abort an in-flight (or still pending) transfer — connection drop
-    /// or client cancellation. All legs' flows stop, storage accesses
-    /// close, peers' caps are re-evaluated, and **no log record is
+    /// or client cancellation. The flow stops, the storage access
+    /// closes, peers' caps are re-evaluated, and **no log record is
     /// written** (the paper's server logs completed transfers only).
     ///
     /// Returns the exact number of payload bytes delivered (prior-attempt
-    /// credit plus floored fluid progress per leg; `0` if no data flow
-    /// had started), or `None` for unknown/finished tokens.
+    /// credit plus floored fluid progress; `0` if no data flow had
+    /// started), or `None` for unknown/finished tokens.
     /// Co-allocating callers re-plan the remaining `[delivered, share)`
     /// range onto another source from this offset, so it is a whole byte
     /// count that never over-reports.
     pub fn abort_exact(&mut self, ctx: &mut Ctx<'_>, token: TransferToken) -> Option<u64> {
-        let id = token.0;
-        let t = self.inflight.remove(&id)?;
-        let mut delivered = 0u64;
-        let mut touched = Vec::new();
-        for leg in &t.legs {
-            delivered += leg.prior_delivered;
-            if let Some(flow) = leg.flow {
-                self.by_flow.remove(&flow);
-                if leg.done {
-                    delivered += leg.bytes;
-                } else {
-                    let fraction = ctx.abort_flow(flow).unwrap_or(1.0);
-                    delivered += ((fraction * leg.bytes as f64).floor() as u64).min(leg.bytes);
-                }
-            }
-            for access in [leg.src_access, leg.dst_access].into_iter().flatten() {
-                let (node, a) = access;
-                if let Some(rt) = self.servers.get_mut(&node) {
-                    rt.storage.close(a);
-                }
-                touched.push(Some(node));
-            }
+        let t = self.inflight.remove(&token.0)?;
+        let mut delivered = t.prior_delivered;
+        if let Some(flow) = t.flow {
+            self.by_flow.remove(&flow);
+            delivered += t.moved(ctx.abort_flow(flow).unwrap_or(1.0));
         }
-        self.refresh_caps(ctx, &touched);
+        if let Some(access) = t.access {
+            if let Some(rt) = self.servers.get_mut(&t.server) {
+                rt.storage.close(access);
+            }
+            self.refresh_caps(ctx, t.server);
+        }
         Some(delivered)
     }
 
-    /// Re-evaluate the storage cap of every in-flight transfer touching
-    /// the given servers.
-    fn refresh_caps(&mut self, ctx: &mut Ctx<'_>, touched: &[Option<NodeId>]) {
-        let touched: Vec<NodeId> = touched.iter().flatten().copied().collect();
+    /// Re-evaluate the storage cap of every in-flight transfer reading
+    /// from `server`.
+    fn refresh_caps(&mut self, ctx: &mut Ctx<'_>, server: NodeId) {
+        let Some(rt) = self.servers.get(&server) else {
+            return;
+        };
         for t in self.inflight.values() {
-            for leg in &t.legs {
-                let Some(flow) = leg.flow else { continue };
-                if leg.done {
-                    continue;
-                }
-                let involves = |n: &Option<(NodeId, AccessId)>| {
-                    n.map(|(node, _)| touched.contains(&node)).unwrap_or(false)
-                };
-                if !involves(&leg.src_access) && !involves(&leg.dst_access) {
-                    continue;
-                }
-                let mut cap = f64::INFINITY;
-                for access in [leg.src_access, leg.dst_access].into_iter().flatten() {
-                    let (node, a) = access;
-                    if let Some(rt) = self.servers.get(&node) {
-                        cap = cap.min(rt.storage.access_cap(a).unwrap_or(f64::INFINITY));
-                    }
-                }
-                ctx.set_external_cap(flow, cap);
+            if t.server != server {
+                continue;
             }
+            let (Some(flow), Some(access)) = (t.flow, t.access) else {
+                continue;
+            };
+            ctx.set_external_cap(flow, rt.storage.access_cap(access).unwrap_or(f64::INFINITY));
         }
     }
 }
@@ -1276,76 +1000,6 @@ mod tests {
     }
 
     #[test]
-    fn put_registers_file_on_destination() {
-        let (_, anl, lbl, _) = testnet();
-        let script = vec![(
-            SimDuration::from_secs(1),
-            TransferRequest {
-                client: anl,
-                kind: TransferKind::Put {
-                    server: lbl,
-                    path: "/home/ftp/incoming/new".into(),
-                    size: 10_000_000,
-                },
-                streams: 4,
-                tcp_buffer: 1_000_000,
-                partial: None,
-            },
-        )];
-        let d = run(script, 120);
-        assert_eq!(d.completed.len(), 1, "{:?}", d.errors);
-        let storage = d.mgr.storage(lbl).unwrap();
-        assert_eq!(
-            storage
-                .catalog()
-                .lookup("/home/ftp/incoming/new")
-                .unwrap()
-                .size,
-            10_000_000
-        );
-        let r = &d.mgr.server_log(lbl).unwrap().records()[0];
-        assert_eq!(r.operation, Operation::Write);
-    }
-
-    #[test]
-    fn third_party_logs_at_both_servers() {
-        let (_, anl, lbl, isi) = testnet();
-        let script = vec![(
-            SimDuration::from_secs(1),
-            TransferRequest {
-                client: anl,
-                kind: TransferKind::ThirdParty {
-                    from: lbl,
-                    to: isi,
-                    path: "/home/ftp/vazhkuda/50MB".into(),
-                },
-                streams: 8,
-                tcp_buffer: 1_000_000,
-                partial: None,
-            },
-        )];
-        let d = run(script, 300);
-        assert_eq!(d.completed.len(), 1, "{:?}", d.errors);
-        let lbl_log = d.mgr.server_log(lbl).unwrap();
-        let isi_log = d.mgr.server_log(isi).unwrap();
-        assert_eq!(lbl_log.len(), 1);
-        assert_eq!(isi_log.len(), 1);
-        assert_eq!(lbl_log.records()[0].operation, Operation::Read);
-        assert_eq!(isi_log.records()[0].operation, Operation::Write);
-        // Each logs the *other server* as the remote endpoint.
-        assert_eq!(lbl_log.records()[0].source, "128.9.160.11");
-        assert_eq!(isi_log.records()[0].source, "131.243.2.11");
-        // The file materialized at ISI.
-        assert!(d
-            .mgr
-            .storage(isi)
-            .unwrap()
-            .catalog()
-            .lookup("/home/ftp/vazhkuda/50MB")
-            .is_ok());
-    }
-
-    #[test]
     fn partial_get_moves_only_requested_bytes() {
         let (_, anl, lbl, _) = testnet();
         let mut req = get_req(anl, lbl, "/home/ftp/vazhkuda/100MB");
@@ -1419,130 +1073,6 @@ mod tests {
         assert!(matches!(d.errors[0], SubmitError::NotAServer(_)));
     }
 
-    // ---- striped transfers -------------------------------------------
-
-    fn striped_req(client: NodeId, servers: Vec<NodeId>, path: &str) -> TransferRequest {
-        TransferRequest {
-            client,
-            kind: TransferKind::StripedGet {
-                servers,
-                path: path.into(),
-            },
-            streams: 4,
-            tcp_buffer: 1_000_000,
-            partial: None,
-        }
-    }
-
-    #[test]
-    fn striped_get_uses_both_paths_and_is_faster() {
-        let (_, anl, lbl, isi) = testnet();
-        // Plain get of 500MB from LBL alone...
-        let plain = run(
-            vec![(
-                SimDuration::from_secs(1),
-                get_req(anl, lbl, "/home/ftp/vazhkuda/500MB"),
-            )],
-            600,
-        );
-        // ...vs striped across LBL and ISI (two disjoint 12 MB/s paths).
-        let striped = run(
-            vec![(
-                SimDuration::from_secs(1),
-                striped_req(anl, vec![lbl, isi], "/home/ftp/vazhkuda/500MB"),
-            )],
-            600,
-        );
-        assert_eq!(striped.completed.len(), 1, "{:?}", striped.errors);
-        let c = &striped.completed[0];
-        assert_eq!(c.bytes, 512_000_000);
-        let t_plain = plain.completed[0]
-            .finished
-            .saturating_since(plain.completed[0].submitted)
-            .as_secs_f64();
-        let t_striped = c.finished.saturating_since(c.submitted).as_secs_f64();
-        assert!(
-            t_striped < 0.6 * t_plain,
-            "striping should nearly halve the time: {t_striped} vs {t_plain}"
-        );
-        // Each stripe server logged its half.
-        let lbl_rec = &striped.mgr.server_log(lbl).unwrap().records()[0];
-        let isi_rec = &striped.mgr.server_log(isi).unwrap().records()[0];
-        assert_eq!(lbl_rec.file_size + isi_rec.file_size, 512_000_000);
-        assert_eq!(lbl_rec.operation, Operation::Read);
-        assert_eq!(isi_rec.operation, Operation::Read);
-        assert_eq!(lbl_rec.source, "140.221.65.69");
-    }
-
-    #[test]
-    fn striped_odd_bytes_split_exactly() {
-        let (_, anl, lbl, isi) = testnet();
-        // Partial striped get with an odd byte count.
-        let mut req = striped_req(anl, vec![lbl, isi], "/home/ftp/vazhkuda/10MB");
-        req.partial = Some((0, 1_000_001));
-        let d = run(vec![(SimDuration::from_secs(1), req)], 120);
-        assert_eq!(d.completed.len(), 1, "{:?}", d.errors);
-        assert_eq!(d.completed[0].bytes, 1_000_001);
-        let lbl_rec = &d.mgr.server_log(lbl).unwrap().records()[0];
-        let isi_rec = &d.mgr.server_log(isi).unwrap().records()[0];
-        assert_eq!(lbl_rec.file_size + isi_rec.file_size, 1_000_001);
-        assert_eq!(lbl_rec.file_size.abs_diff(isi_rec.file_size), 1);
-    }
-
-    #[test]
-    fn striped_requires_servers_and_matching_sizes() {
-        let (_, anl, lbl, isi) = testnet();
-        let d = run(
-            vec![(
-                SimDuration::from_secs(1),
-                striped_req(anl, vec![], "/home/ftp/vazhkuda/10MB"),
-            )],
-            30,
-        );
-        assert_eq!(d.errors, vec![SubmitError::NoStripes]);
-
-        // Single-stripe degenerates to a plain get.
-        let d = run(
-            vec![(
-                SimDuration::from_secs(1),
-                striped_req(anl, vec![lbl], "/home/ftp/vazhkuda/10MB"),
-            )],
-            120,
-        );
-        assert_eq!(d.completed.len(), 1, "{:?}", d.errors);
-        assert_eq!(d.completed[0].bytes, 10_240_000);
-        let _ = isi;
-    }
-
-    #[test]
-    fn striped_missing_replica_rejected() {
-        let (net, anl, lbl, isi) = testnet();
-        drop(net);
-        // Remove the file from ISI so the stripe set is inconsistent.
-        let (net2, anl2, lbl2, isi2) = testnet();
-        let mut mgr = manager(anl2, lbl2, isi2);
-        mgr.servers
-            .get_mut(&isi2)
-            .unwrap()
-            .storage
-            .catalog_mut()
-            .remove("/home/ftp/vazhkuda/10MB");
-        let mut eng = Engine::new(net2);
-        let id = eng.add_agent(Box::new(Driver {
-            mgr,
-            script: vec![(
-                SimDuration::from_secs(1),
-                striped_req(anl2, vec![lbl2, isi2], "/home/ftp/vazhkuda/10MB"),
-            )],
-            completed: Vec::new(),
-            errors: Vec::new(),
-        }));
-        eng.run_until(SimTime::from_secs(60));
-        let d = eng.agent::<Driver>(id).unwrap();
-        assert!(matches!(d.errors[0], SubmitError::FileNotFound(_)));
-        let _ = (anl, lbl, isi);
-    }
-
     // ---- zero-size files (regression) ---------------------------------
 
     #[test]
@@ -1557,7 +1087,7 @@ mod tests {
             .unwrap()
             .storage
             .catalog_mut()
-            .put_file("/home/ftp/empty", 0)
+            .add_file("/home/ftp/empty", 0)
             .unwrap();
         let mut bad = get_req(anl, lbl, "/home/ftp/empty");
         bad.partial = Some((5, 10));
@@ -1578,66 +1108,6 @@ mod tests {
         assert_eq!(d.errors, vec![SubmitError::BadOffset]);
         assert_eq!(d.completed.len(), 1, "offset 0 into empty file is legal");
         assert_eq!(d.completed[0].bytes, 0);
-    }
-
-    /// Regression: a write target outside every volume of its server is
-    /// a 553 at submit, for a PUT and for a third-party destination. It
-    /// used to complete, log `VOL=""` and never enter the catalog.
-    #[test]
-    fn write_outside_any_volume_rejected_at_submit() {
-        let (net, anl, lbl, isi) = testnet();
-        let mut mgr = manager(anl, lbl, isi);
-        // A file LBL serves from a volume ISI does not have.
-        let lbl_catalog = mgr.servers.get_mut(&lbl).unwrap().storage.catalog_mut();
-        lbl_catalog.add_volume("/archive");
-        lbl_catalog
-            .put_file("/archive/run.dat", 10_000_000)
-            .unwrap();
-        let put = TransferRequest {
-            client: anl,
-            kind: TransferKind::Put {
-                server: lbl,
-                path: "/etc/shadow".into(),
-                size: 10_000_000,
-            },
-            streams: 4,
-            tcp_buffer: 1_000_000,
-            partial: None,
-        };
-        let third_party = TransferRequest {
-            client: anl,
-            kind: TransferKind::ThirdParty {
-                from: lbl,
-                to: isi,
-                path: "/archive/run.dat".into(),
-            },
-            streams: 8,
-            tcp_buffer: 1_000_000,
-            partial: None,
-        };
-        let mut eng = Engine::new(net);
-        let id = eng.add_agent(Box::new(Driver {
-            mgr,
-            script: vec![
-                (SimDuration::from_secs(1), put),
-                (SimDuration::from_secs(2), third_party),
-            ],
-            completed: Vec::new(),
-            errors: Vec::new(),
-        }));
-        eng.run_until(SimTime::from_secs(120));
-        let d = eng.agent::<Driver>(id).unwrap();
-        assert_eq!(
-            d.errors,
-            vec![
-                SubmitError::NoVolume("/etc/shadow".into()),
-                SubmitError::NoVolume("/archive/run.dat".into()),
-            ]
-        );
-        assert!(d.completed.is_empty());
-        assert_eq!(d.mgr.inflight_count(), 0);
-        assert_eq!(d.mgr.server_log(lbl).unwrap().len(), 0);
-        assert_eq!(d.mgr.server_log(isi).unwrap().len(), 0);
     }
 
     // ---- faults and retries -------------------------------------------
@@ -1803,42 +1273,6 @@ mod tests {
         }
     }
 
-    /// A striped transfer loses one stripe's flow to a fault: the whole
-    /// attempt aborts (both legs torn down) and the retry re-splits the
-    /// remaining bytes, completing with per-server logs that sum to the
-    /// file size.
-    #[test]
-    fn striped_transfer_aborts_under_fault_and_recovers() {
-        let (net, anl, _, isi) = testnet();
-        let isi_link = net.topology().route(isi, anl).unwrap().links[0];
-        let faults = FaultSchedule::from_events(vec![TimedFault {
-            at: SimTime::from_secs(10),
-            action: FaultAction::KillFlows(isi_link),
-        }]);
-        let (_, anl2, lbl2, isi2) = testnet();
-        let d = run_faulty(
-            vec![(
-                SimDuration::from_secs(1),
-                striped_req(anl2, vec![lbl2, isi2], "/home/ftp/vazhkuda/500MB"),
-            )],
-            Some(RetryPolicy::wan_default()),
-            faults,
-            900,
-        );
-        let _ = anl;
-        assert_eq!(d.completed.len(), 1, "errors {:?}", d.errors);
-        let c = &d.completed[0];
-        assert_eq!(c.attempts, 2);
-        assert_eq!(c.bytes, 512_000_000);
-        // Both stripes' logs carry their full original share.
-        let lbl_rec = &d.mgr.server_log(lbl2).unwrap().records()[0];
-        let isi_rec = &d.mgr.server_log(isi2).unwrap().records()[0];
-        assert_eq!(lbl_rec.file_size + isi_rec.file_size, 512_000_000);
-        // During the attempt no storage access leaked.
-        assert_eq!(d.mgr.storage(lbl2).unwrap().disk_population(), 0);
-        assert_eq!(d.mgr.storage(isi2).unwrap().disk_population(), 0);
-    }
-
     /// An outage stalls the only data flow; the attempt deadline expires,
     /// and the retry lands after the link recovers.
     #[test]
@@ -1902,6 +1336,18 @@ mod tests {
         // Bounded by backoff_max plus jitter headroom.
         let late = p.backoff(7, 30);
         assert!(late.as_secs_f64() <= 300.0 * 1.25);
+    }
+
+    /// Regression: timer tags keep eight attempt bits, so attempt 256
+    /// decoded as 0 and its setup timer was dropped as stale, leaving
+    /// the transfer in flight for ever. Such a budget is refused.
+    #[test]
+    #[should_panic(expected = "at most 255 attempts")]
+    fn retry_budget_beyond_tag_width_rejected() {
+        TransferManager::new(0).set_retry_policy(RetryPolicy {
+            max_attempts: 256,
+            ..RetryPolicy::wan_default()
+        });
     }
 
     // ---- aborts -------------------------------------------------------

@@ -1,7 +1,7 @@
 //! Property test: under arbitrary interleavings of submits and aborts,
 //! the transfer manager never leaks resources — when everything has
 //! drained, no storage access is open, no transfer is in flight, and
-//! every *completed* transfer produced exactly its log records.
+//! every *completed* transfer produced exactly one log record.
 
 use std::any::Any;
 
@@ -21,10 +21,9 @@ use wanpred_storage::StorageServer;
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Submit a GET of the i-th paper file at the given second.
-    Get { at: u64, file: usize },
-    /// Submit a striped GET across both servers.
-    Striped { at: u64, file: usize },
+    /// Submit a GET of the i-th paper file at the given second, from
+    /// ISI if `isi` is set and from LBL otherwise.
+    Get { at: u64, file: usize, isi: bool },
     /// Submit a partial (REST-offset) GET of one chunk of a tiled plan.
     Partial {
         at: u64,
@@ -63,10 +62,7 @@ impl Agent for Chaos {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         for (i, op) in self.ops.iter().enumerate() {
             let at = match op {
-                Op::Get { at, .. }
-                | Op::Striped { at, .. }
-                | Op::Partial { at, .. }
-                | Op::Abort { at, .. } => *at,
+                Op::Get { at, .. } | Op::Partial { at, .. } | Op::Abort { at, .. } => *at,
             };
             ctx.set_timer(SimDuration::from_secs(at.max(1)), i as TimerTag);
         }
@@ -77,26 +73,13 @@ impl Agent for Chaos {
             return;
         }
         let (req, bytes) = match self.ops[tag as usize].clone() {
-            Op::Get { file, .. } => {
+            Op::Get { file, isi, .. } => {
                 let (name, bytes) = FILES[file % FILES.len()];
+                let server = if isi { self.isi } else { self.lbl };
                 let req = TransferRequest {
                     client: self.client,
                     kind: TransferKind::Get {
-                        server: self.lbl,
-                        path: format!("/home/ftp/vazhkuda/{name}"),
-                    },
-                    streams: 4,
-                    tcp_buffer: 1_000_000,
-                    partial: None,
-                };
-                (req, bytes)
-            }
-            Op::Striped { file, .. } => {
-                let (name, bytes) = FILES[file % FILES.len()];
-                let req = TransferRequest {
-                    client: self.client,
-                    kind: TransferKind::StripedGet {
-                        servers: vec![self.lbl, self.isi],
+                        server,
                         path: format!("/home/ftp/vazhkuda/{name}"),
                     },
                     streams: 4,
@@ -182,8 +165,7 @@ fn testnet() -> (Network, NodeId, NodeId, NodeId) {
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     let op = prop_oneof![
-        (1u64..120, 0usize..5).prop_map(|(at, file)| Op::Get { at, file }),
-        (1u64..120, 0usize..5).prop_map(|(at, file)| Op::Striped { at, file }),
+        (1u64..120, 0usize..5, any::<bool>()).prop_map(|(at, file, isi)| Op::Get { at, file, isi }),
         (1u64..150, any::<usize>()).prop_map(|(at, which)| Op::Abort { at, which }),
     ];
     prop::collection::vec(op, 1..12)
@@ -247,15 +229,11 @@ proptest! {
             prop_assert!(c.record.validate().is_ok(), "{:?}", c.record.validate());
         }
 
-        // Log-record accounting: completed GETs log 1 read record (at
-        // LBL), striped log one per stripe; aborted transfers log none.
+        // Log-record accounting: a completed GET logs exactly one read
+        // record at its server; aborted transfers log none.
         let lbl_reads = chaos.mgr.server_log(lbl).expect("lbl").len();
         let isi_reads = chaos.mgr.server_log(isi).expect("isi").len();
-        let expected: usize = chaos.completed.len();
-        // Each completion logs at least one record and at most two (one
-        // per stripe server).
-        prop_assert!(lbl_reads + isi_reads >= expected);
-        prop_assert!(lbl_reads + isi_reads <= 2 * expected);
+        prop_assert_eq!(lbl_reads + isi_reads, chaos.completed.len());
     }
 }
 

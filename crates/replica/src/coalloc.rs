@@ -435,7 +435,8 @@ impl Coallocator {
         if pool.is_empty() {
             pool = req.sources.clone();
         }
-        // Validate candidates and agree on the file size.
+        // Validate candidates and agree on the file size: the first
+        // usable source fixes it, and a replica that disagrees is dropped.
         let mut total: Option<u64> = None;
         let mut first_err: Option<SubmitError> = None;
         pool.retain(|s| {
@@ -449,17 +450,7 @@ impl Coallocator {
                         .map_err(|_| SubmitError::FileNotFound(req.path.clone()))
                 });
             match size {
-                Ok(sz) => match total {
-                    None => {
-                        total = Some(sz);
-                        true
-                    }
-                    Some(t) if t == sz => true,
-                    Some(_) => {
-                        first_err.get_or_insert(SubmitError::StripeSizeMismatch);
-                        false
-                    }
-                },
+                Ok(sz) => *total.get_or_insert(sz) == sz,
                 Err(e) => {
                     first_err.get_or_insert(e);
                     false
@@ -1246,6 +1237,70 @@ mod tests {
         assert_eq!(h.failed.len(), 1);
         let f = &h.failed[0];
         assert!(f.delivered_bytes > 0 && f.delivered_bytes < f.total_bytes);
+    }
+
+    /// The first usable source fixes the file size: a replica whose
+    /// size disagrees is dropped and the rest serve the whole file; with
+    /// no source at all there is nothing to plan.
+    #[test]
+    fn sources_agree_on_size_or_are_dropped() {
+        const PATH: &str = "/home/ftp/vazhkuda/100MB";
+        const SIZE: u64 = 102_400_000;
+        // ISI's replica of PATH is a truncated copy.
+        const SHORT: u64 = 51_200_000;
+        // (source order by node name, expected (total, serving source)).
+        type Case = (
+            &'static [&'static str],
+            Result<(u64, &'static str), SubmitError>,
+        );
+        let cases: [Case; 3] = [
+            (&["lbl", "isi"], Ok((SIZE, "lbl"))),
+            (&["isi", "lbl"], Ok((SHORT, "isi"))),
+            (&[], Err(SubmitError::NoStripes)),
+        ];
+        for (order, expected) in cases {
+            let (net, anl, lbl, isi) = testnet();
+            let mut mgr = TransferManager::new(998_000_000);
+            mgr.add_host(anl, "pitcairn.mcs.anl.gov", "140.221.65.69");
+            mgr.add_server(
+                lbl,
+                ServerConfig::new("dpsslx04.lbl.gov", "131.243.2.11"),
+                StorageServer::vintage_with_paper_fileset("lbl"),
+            );
+            let mut isi_store = StorageServer::vintage_with_paper_fileset("isi");
+            assert!(isi_store.catalog_mut().remove(PATH));
+            isi_store.catalog_mut().add_file(PATH, SHORT).unwrap();
+            mgr.add_server(
+                isi,
+                ServerConfig::new("jet.isi.edu", "128.9.160.11"),
+                isi_store,
+            );
+            let node = |name: &str| if name == "lbl" { lbl } else { isi };
+            let mut req = req2(anl, lbl, isi, PATH, 2);
+            req.sources = order
+                .iter()
+                .map(|name| CoallocSource {
+                    node: node(name),
+                    predicted_kbs: 10_000.0,
+                })
+                .collect();
+            let (h, _) = run_with(net, mgr, Coallocator::new(), req, 600);
+            match expected {
+                Ok((total, source)) => {
+                    assert!(h.start_err.is_none(), "{order:?}: {:?}", h.start_err);
+                    assert_eq!(h.completed.len(), 1, "{order:?}: {:?}", h.events);
+                    let c = &h.completed[0];
+                    assert_eq!(c.total_bytes, total, "{order:?}");
+                    assert_eq!(c.stripes, 1, "{order:?}: the mismatch was dropped");
+                    c.verify_tiling().expect("the survivor tiles the file");
+                    assert!(c.covered.iter().all(|r| r.source == node(source)));
+                }
+                Err(e) => {
+                    assert_eq!(h.start_err, Some(e), "{order:?}");
+                    assert!(h.completed.is_empty());
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Disk device model: sustained rates, per-operation overhead, and the
-//! contention behaviour of concurrent accessors.
+//! Disk device model: a sustained read rate and the contention
+//! behaviour of concurrent readers.
 //!
 //! §3 of the paper singles storage out as the end-to-end component *least*
 //! amenable to "law of large numbers" smoothing: one extra concurrent
@@ -12,88 +12,67 @@
 //!
 //! so each additional accessor costs real seek/rotation efficiency, and
 //! the per-accessor share `aggregate(k) / k` drops super-linearly — the
-//! coarse-grained variance source the paper describes.
+//! coarse-grained variance source the paper describes. A per-operation
+//! positioning delay is not modelled: an access costs only its share of
+//! the contended rate.
 
 use serde::{Deserialize, Serialize};
-use wanpred_simnet::time::SimDuration;
-
-/// Direction of a storage access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum AccessKind {
-    /// Reading from the device (a GridFTP `Read`/retrieve serves these).
-    Read,
-    /// Writing to the device (a GridFTP `Write`/store serves these).
-    Write,
-}
 
 /// Static description of a disk (or RAID volume presented as one device).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DiskSpec {
     /// Sustained sequential read throughput, bytes/sec.
     pub read_bps: f64,
-    /// Sustained sequential write throughput, bytes/sec.
-    pub write_bps: f64,
     /// Efficiency loss per extra concurrent accessor, in `[0, 1]`.
     /// 0 = perfectly parallel device, larger = worse seek thrash.
     pub contention: f64,
-    /// Fixed per-operation latency (open + initial positioning).
-    pub op_overhead: SimDuration,
 }
 
 impl DiskSpec {
     /// A 2001-era fast SCSI disk / small RAID as found on the paper's
-    /// testbed servers: ~40 MB/s reads, ~30 MB/s writes, noticeable
-    /// contention, ~8 ms positioning.
+    /// testbed servers: ~40 MB/s reads and noticeable contention.
     pub fn vintage_2001() -> Self {
         DiskSpec {
             read_bps: 40e6,
-            write_bps: 30e6,
             contention: 0.18,
-            op_overhead: SimDuration::from_millis(8),
         }
     }
 
-    /// An idealized device with no contention and negligible overhead —
-    /// useful to disable the storage bottleneck in ablation experiments.
+    /// An idealized device with no contention — useful to disable the
+    /// storage bottleneck in ablation experiments.
     pub fn ideal() -> Self {
         DiskSpec {
             read_bps: 1e12,
-            write_bps: 1e12,
             contention: 0.0,
-            op_overhead: SimDuration::ZERO,
         }
     }
 
-    /// Sustained rate for the access kind.
-    pub fn sustained(&self, kind: AccessKind) -> f64 {
-        match kind {
-            AccessKind::Read => self.read_bps,
-            AccessKind::Write => self.write_bps,
-        }
+    /// Sustained (unloaded) read rate, bytes/sec.
+    pub fn sustained(&self) -> f64 {
+        self.read_bps
     }
 
     /// Aggregate device throughput (bytes/sec) for `k` concurrent
-    /// accessors of `kind`, after contention losses. `k = 0` returns the
-    /// unloaded sustained rate.
-    pub fn aggregate(&self, kind: AccessKind, k: usize) -> f64 {
-        let s = self.sustained(kind);
+    /// accessors, after contention losses. `k = 0` returns the unloaded
+    /// sustained rate.
+    pub fn aggregate(&self, k: usize) -> f64 {
+        let s = self.sustained();
         if k <= 1 {
             return s;
         }
         s / (1.0 + self.contention * (k as f64 - 1.0))
     }
 
-    /// Fair per-accessor throughput (bytes/sec) when `k` accessors of
-    /// `kind` are active.
-    pub fn per_access(&self, kind: AccessKind, k: usize) -> f64 {
+    /// Fair per-accessor throughput (bytes/sec) when `k` accessors are
+    /// active.
+    pub fn per_access(&self, k: usize) -> f64 {
         let k = k.max(1);
-        self.aggregate(kind, k) / k as f64
+        self.aggregate(k) / k as f64
     }
 
     /// Validate invariants; called by [`crate::server::StorageServer`].
     pub fn validate(&self) {
         assert!(self.read_bps > 0.0 && self.read_bps.is_finite());
-        assert!(self.write_bps > 0.0 && self.write_bps.is_finite());
         assert!((0.0..=1.0).contains(&self.contention));
     }
 }
@@ -105,17 +84,16 @@ mod tests {
     #[test]
     fn unloaded_rate_is_sustained() {
         let d = DiskSpec::vintage_2001();
-        assert_eq!(d.per_access(AccessKind::Read, 1), 40e6);
-        assert_eq!(d.per_access(AccessKind::Write, 1), 30e6);
-        assert_eq!(d.per_access(AccessKind::Read, 0), 40e6);
+        assert_eq!(d.per_access(1), 40e6);
+        assert_eq!(d.per_access(0), 40e6);
     }
 
     #[test]
     fn contention_is_superlinear() {
         let d = DiskSpec::vintage_2001();
-        let r1 = d.per_access(AccessKind::Read, 1);
-        let r2 = d.per_access(AccessKind::Read, 2);
-        let r4 = d.per_access(AccessKind::Read, 4);
+        let r1 = d.per_access(1);
+        let r2 = d.per_access(2);
+        let r4 = d.per_access(4);
         // Strictly worse than fair splitting: r2 < r1/2, r4 < r1/4.
         assert!(r2 < r1 / 2.0);
         assert!(r4 < r1 / 4.0);
@@ -126,8 +104,8 @@ mod tests {
     #[test]
     fn aggregate_shrinks_with_population() {
         let d = DiskSpec::vintage_2001();
-        assert!(d.aggregate(AccessKind::Read, 2) < d.aggregate(AccessKind::Read, 1));
-        assert!(d.aggregate(AccessKind::Read, 8) < d.aggregate(AccessKind::Read, 2));
+        assert!(d.aggregate(2) < d.aggregate(1));
+        assert!(d.aggregate(8) < d.aggregate(2));
     }
 
     #[test]
@@ -136,13 +114,13 @@ mod tests {
             contention: 0.0,
             ..DiskSpec::vintage_2001()
         };
-        assert!((d.per_access(AccessKind::Read, 4) - 10e6).abs() < 1.0);
+        assert!((d.per_access(4) - 10e6).abs() < 1.0);
     }
 
     #[test]
     fn ideal_disk_is_effectively_unbounded() {
         let d = DiskSpec::ideal();
-        assert!(d.per_access(AccessKind::Write, 16) > 1e10);
+        assert!(d.per_access(16) > 1e10);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! concurrency contention ([`disk`]), byte-budgeted LRU file caches
 //! ([`cache`]), logical volumes with a file catalog ([`volume`]), and the
 //! [`server::StorageServer`] that ties them together and exposes the
-//! per-access throughput cap consumed by `wanpred-gridftp`.
+//! per-access throughput cap consumed by `wanpred-gridftp`. Every access
+//! is a read: the transfer manager runs only GETs.
 //!
 //! §3 of the reproduced paper motivates modelling storage explicitly: the
 //! end-to-end transfer function includes devices where a *single* extra
@@ -21,7 +22,7 @@ pub mod server;
 pub mod volume;
 
 pub use cache::FileCache;
-pub use disk::{AccessKind, DiskSpec};
+pub use disk::DiskSpec;
 pub use server::{AccessId, StorageServer};
 pub use volume::{mb_to_bytes, CatalogError, FileCatalog, FileEntry, Volume};
 

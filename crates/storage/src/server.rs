@@ -1,13 +1,13 @@
 //! A storage server: one disk spec plus the set of concurrently open
-//! accesses, exposing the per-access throughput cap that the transfer
-//! service feeds into the network flows' external caps.
+//! read accesses, exposing the per-access throughput cap that the
+//! transfer service feeds into the network flows' external caps.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use crate::cache::FileCache;
-use crate::disk::{AccessKind, DiskSpec};
+use crate::disk::DiskSpec;
 use crate::volume::FileCatalog;
 
 /// Identifier of an open access on a storage server.
@@ -22,15 +22,9 @@ pub struct StorageServer {
     spec: DiskSpec,
     catalog: FileCatalog,
     cache: FileCache,
-    active: HashMap<AccessId, Access>,
+    /// Open accesses, each flagged whether the cache serves it.
+    active: BTreeMap<AccessId, bool>,
     next_id: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Access {
-    kind: AccessKind,
-    /// Access is served from cache (reads of recently used files).
-    cached: bool,
 }
 
 impl StorageServer {
@@ -47,7 +41,7 @@ impl StorageServer {
             spec,
             catalog,
             cache,
-            active: HashMap::new(),
+            active: BTreeMap::new(),
             next_id: 0,
         }
     }
@@ -78,7 +72,7 @@ impl StorageServer {
         &self.catalog
     }
 
-    /// Mutable access to the catalog (PUT creates files).
+    /// Mutable access to the catalog (seeding files after construction).
     pub fn catalog_mut(&mut self) -> &mut FileCatalog {
         &mut self.catalog
     }
@@ -89,20 +83,9 @@ impl StorageServer {
     /// (missing paths are the transfer layer's error to report).
     pub fn open_read(&mut self, path: &str, size: u64) -> AccessId {
         let cached = self.cache.read(path, size);
-        self.open(AccessKind::Read, cached)
-    }
-
-    /// Open an access for writing `path` (store). Writes always hit the
-    /// device; the written file becomes cache-resident.
-    pub fn open_write(&mut self, path: &str, size: u64) -> AccessId {
-        self.cache.insert(path, size);
-        self.open(AccessKind::Write, false)
-    }
-
-    fn open(&mut self, kind: AccessKind, cached: bool) -> AccessId {
         let id = AccessId(self.next_id);
         self.next_id += 1;
-        self.active.insert(id, Access { kind, cached });
+        self.active.insert(id, cached);
         id
     }
 
@@ -114,8 +97,7 @@ impl StorageServer {
     /// Number of accesses currently contending for the physical device
     /// (cached reads excluded).
     pub fn disk_population(&self) -> usize {
-        // tidy: allow(determinism-taint): count() folds the values without observing their order
-        self.active.values().filter(|a| !a.cached).count()
+        self.active.values().filter(|cached| !**cached).count()
     }
 
     /// Total open accesses, including cache-served ones.
@@ -128,16 +110,10 @@ impl StorageServer {
     /// Cache-served reads get the cache's memory rate; disk accesses get
     /// the contended per-access share. Returns `None` for unknown ids.
     pub fn access_cap(&self, id: AccessId) -> Option<f64> {
-        let a = self.active.get(&id)?;
-        if a.cached {
+        if *self.active.get(&id)? {
             return Some(self.cache.memory_bps());
         }
-        Some(self.spec.per_access(a.kind, self.disk_population()))
-    }
-
-    /// Fixed per-operation latency to charge when opening.
-    pub fn op_overhead(&self) -> wanpred_simnet::time::SimDuration {
-        self.spec.op_overhead
+        Some(self.spec.per_access(self.disk_population()))
     }
 }
 
@@ -190,25 +166,6 @@ mod tests {
         s.close(first);
         let second = s.open_read("/home/ftp/vazhkuda/1GB", 1_024_000_000);
         assert_eq!(s.access_cap(second), Some(40e6));
-    }
-
-    #[test]
-    fn writes_hit_the_disk_at_write_rate() {
-        let mut s = server();
-        let id = s.open_write("/home/ftp/incoming", 1_000_000);
-        assert_eq!(s.access_cap(id), Some(30e6));
-    }
-
-    #[test]
-    fn mixed_population_counts_disk_accessors() {
-        let mut s = server();
-        let r = s.open_read("/home/ftp/vazhkuda/1GB", 1_024_000_000);
-        let w = s.open_write("/home/ftp/x", 1);
-        assert_eq!(s.disk_population(), 2);
-        let rc = s.access_cap(r).unwrap();
-        let wc = s.access_cap(w).unwrap();
-        assert!(rc < 40e6 / 2.0 + 1.0);
-        assert!(wc < 30e6 / 2.0 + 1.0);
     }
 
     #[test]

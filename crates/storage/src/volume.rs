@@ -82,16 +82,6 @@ impl FileCatalog {
         Ok(())
     }
 
-    /// Register or replace a file (PUT semantics: overwrites are allowed).
-    pub fn put_file(&mut self, path: impl Into<String>, size: u64) -> Result<(), CatalogError> {
-        let path = path.into();
-        if self.volume_of(&path).is_none() {
-            return Err(CatalogError::NoVolume(path));
-        }
-        self.files.insert(path.clone(), FileEntry { path, size });
-        Ok(())
-    }
-
     /// Look up a file.
     pub fn lookup(&self, path: &str) -> Result<&FileEntry, CatalogError> {
         self.files
@@ -136,11 +126,12 @@ impl FileCatalog {
     /// `dir` (the sizes drawn from in §6.1): 1M, 2M, 5M, 10M, 25M, 50M,
     /// 100M, 150M, 250M, 400M, 500M, 750M and 1G, with the paper's decimal
     /// size convention (1 MB file = 1_024_000 bytes per Figure 3, i.e.
-    /// 1000 * 1024).
+    /// 1000 * 1024). Fails like [`FileCatalog::add_file`] if `dir` lies
+    /// outside every volume or already holds one of the names.
     pub fn populate_paper_fileset(&mut self, dir: &str) -> Result<(), CatalogError> {
         for (name, mb) in crate::paper_fileset() {
             let path = format!("{}/{}", dir.trim_end_matches('/'), name);
-            self.put_file(path, mb_to_bytes(mb))?;
+            self.add_file(path, mb_to_bytes(mb))?;
         }
         Ok(())
     }
@@ -195,8 +186,7 @@ mod tests {
             c.add_file("/home/ftp/a", 2),
             Err(CatalogError::Exists(_))
         ));
-        c.put_file("/home/ftp/a", 2).unwrap();
-        assert_eq!(c.lookup("/home/ftp/a").unwrap().size, 2);
+        assert_eq!(c.lookup("/home/ftp/a").unwrap().size, 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for storage invariants.
 
 use proptest::prelude::*;
-use wanpred_storage::{AccessKind, DiskSpec, FileCache};
+use wanpred_storage::{DiskSpec, FileCache};
 
 proptest! {
     /// Per-access throughput is monotone non-increasing in population and
@@ -12,10 +12,9 @@ proptest! {
         contention in 0.0f64..1.0,
         k in 1usize..64,
     ) {
-        let d = DiskSpec { read_bps: read, write_bps: read, contention,
-                           op_overhead: wanpred_simnet::time::SimDuration::ZERO };
-        let a = d.per_access(AccessKind::Read, k);
-        let b = d.per_access(AccessKind::Read, k + 1);
+        let d = DiskSpec { read_bps: read, contention };
+        let a = d.per_access(k);
+        let b = d.per_access(k + 1);
         prop_assert!(b <= a * (1.0 + 1e-12));
         prop_assert!(a <= read * (1.0 + 1e-12));
         prop_assert!(a > 0.0);
@@ -28,9 +27,8 @@ proptest! {
         contention in 0.0f64..1.0,
         k in 1usize..64,
     ) {
-        let d = DiskSpec { read_bps: read, write_bps: read, contention,
-                           op_overhead: wanpred_simnet::time::SimDuration::ZERO };
-        let agg = d.aggregate(AccessKind::Read, k);
+        let d = DiskSpec { read_bps: read, contention };
+        let agg = d.aggregate(k);
         prop_assert!(agg <= read * (1.0 + 1e-12));
         prop_assert!(agg > 0.0);
     }
