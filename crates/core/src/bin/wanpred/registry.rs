@@ -130,7 +130,7 @@ pub(crate) fn write_artifact(
     value: &impl Serialize,
 ) -> Result<(), String> {
     match write_artifact_in(Path::new(REPO_ROOT), args, name, value)? {
-        Some(path) => println!("comparison written to {}", path.display()),
+        Some(_) => println!("comparison written to {name}"),
         None => println!("{name} not written: a run with flags never overwrites it"),
     }
     Ok(())

@@ -7,7 +7,7 @@
 //! byte-identically; and wall-clock QPS, where the sharded server must
 //! beat the locked directory by ≥3x (not asserted under `--smoke`, which
 //! also shrinks the workload). `BENCH_serving.json` holds the first three
-//! phases, which are functions of the seed; wall-clock numbers are printed.
+//! phases, which are functions of the seed; wall-clock numbers go to stderr.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -238,6 +238,7 @@ pub(crate) fn serving(args: &Args<'_>) -> Result<(), String> {
         let mut srv = ShardedServer::new(ServeConfig {
             admission: Some(AdmissionConfig {
                 coalesce,
+                seed,
                 ..Default::default()
             }),
             ..ServeConfig::default()
@@ -346,8 +347,10 @@ pub(crate) fn serving(args: &Args<'_>) -> Result<(), String> {
         format!("{sharded_qps:.0}"),
         format!("{speedup:.1}x"),
     ]);
-    println!("\n{}", table.render());
-    println!(
+    // Wall clock and the core count differ from box to box, so this
+    // phase reports on stderr and stdout stays a function of the seed.
+    eprintln!("\n{}", table.render());
+    eprintln!(
         "({threads} reader threads, {wall_ms} ms window; the locked baseline \
          re-filters every provider entry per inquiry under one lock, the \
          sharded server answers from per-shard snapshots and filter caches)"

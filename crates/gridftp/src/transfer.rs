@@ -28,7 +28,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use wanpred_logfmt::{Operation, TransferLog, TransferRecord, TransferRecordBuilder};
 use wanpred_obs::{names, ObsSink};
 use wanpred_simnet::engine::{Ctx, TimerTag};
@@ -290,7 +289,7 @@ pub fn stripe_shares(bytes: u64, n: usize) -> Vec<u64> {
 }
 
 /// Static configuration of one GridFTP server.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Server host name, e.g. `dpsslx04.lbl.gov`.
     pub host: String,

@@ -24,94 +24,6 @@ use wanpred_obs::{names, ObsSink};
 use crate::error::InquiryError;
 use crate::service::{InquiryRequest, InquiryResponse, InquiryService, Provenance, ServedBy};
 
-/// Per-registrant retry backoff for the soft-state registration
-/// protocol: when a GIIS is unreachable (or rejects a registration), the
-/// GRIS must not hammer it on a fixed cadence — MDS deployments stagger
-/// retries with exponential backoff and *jitter* so that a recovering
-/// index is not hit by a synchronized thundering herd.
-///
-/// The jitter is deterministic: it is derived by hashing `(registrant id,
-/// attempt)` (FNV-1a + splitmix64 avalanche, the same derivation idiom as
-/// the simulator's `MasterSeed`), so campaigns stay replayable while
-/// distinct registrants still spread out.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegistrationBackoff {
-    /// Delay after the first failure, seconds.
-    pub base_secs: u64,
-    /// Delay ceiling, seconds.
-    pub max_secs: u64,
-    /// Jitter half-width as a fraction of the delay (0.25 → ±25%).
-    pub jitter: f64,
-    consecutive_failures: u32,
-}
-
-impl Default for RegistrationBackoff {
-    fn default() -> Self {
-        RegistrationBackoff::mds_default()
-    }
-}
-
-impl RegistrationBackoff {
-    /// The deployment defaults: 30 s base, 10 min ceiling, ±25% jitter.
-    pub fn mds_default() -> Self {
-        RegistrationBackoff {
-            base_secs: 30,
-            max_secs: 600,
-            jitter: 0.25,
-            consecutive_failures: 0,
-        }
-    }
-
-    /// Failures since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
-    }
-
-    /// Record a failed registration attempt; returns the seconds to wait
-    /// before the next attempt for this registrant.
-    pub fn on_failure(&mut self, id: &str) -> u64 {
-        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-        self.delay_secs(id)
-    }
-
-    /// Record a successful registration: the schedule resets.
-    pub fn on_success(&mut self) {
-        self.consecutive_failures = 0;
-    }
-
-    /// The current delay for a registrant (0 when healthy): exponential
-    /// in the failure count, capped, with deterministic jitter.
-    pub fn delay_secs(&self, id: &str) -> u64 {
-        if self.consecutive_failures == 0 {
-            return 0;
-        }
-        let exp = self.consecutive_failures.saturating_sub(1).min(32);
-        let raw = self
-            .base_secs
-            .saturating_mul(1u64 << exp.min(63))
-            .min(self.max_secs);
-        let u = jitter_unit(id, self.consecutive_failures);
-        let factor = 1.0 - self.jitter + 2.0 * self.jitter * u;
-        ((raw as f64 * factor).round() as u64).max(1)
-    }
-}
-
-/// Deterministic uniform-[0,1) jitter from `(id, attempt)`: FNV-1a over
-/// the id folded with the attempt, finished with a splitmix64 avalanche.
-fn jitter_unit(id: &str, attempt: u32) -> f64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ (u64::from(attempt).rotate_left(17));
-    for b in id.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// A soft-state registration message (the wire protocol's payload).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Registration {
@@ -141,12 +53,6 @@ struct Registrant {
 #[derive(Default)]
 struct GiisState {
     registrants: BTreeMap<String, Registrant>,
-    /// Whether the index currently accepts registrations (a down GIIS
-    /// refuses them; registrants back off and retry).
-    available: bool,
-    /// Per-registrant retry schedules, kept across registration expiry
-    /// so a flapping registrant cannot reset its own backoff.
-    backoffs: BTreeMap<String, RegistrationBackoff>,
 }
 
 /// A GIIS instance.
@@ -162,17 +68,13 @@ impl Giis {
     pub fn new(name: impl Into<String>) -> Self {
         Giis {
             name: name.into(),
-            state: Mutex::new(GiisState {
-                registrants: BTreeMap::new(),
-                available: true,
-                backoffs: BTreeMap::new(),
-            }),
+            state: Mutex::new(GiisState::default()),
             obs: ObsSink::disabled(),
         }
     }
 
     /// Attach an observability sink: soft-state protocol counters
-    /// (registrations, renewals, expirations, refusals, searches) are
+    /// (registrations, renewals, expirations, searches) are
     /// emitted through it.
     pub fn set_obs(&mut self, obs: ObsSink) {
         self.obs = obs;
@@ -183,44 +85,6 @@ impl Giis {
         &self.name
     }
 
-    /// Mark the index up or down (fault injection / maintenance).
-    pub fn set_available(&self, available: bool) {
-        self.state.lock().available = available;
-    }
-
-    /// A registrant's current retry delay in seconds (0 when healthy).
-    pub fn backoff_delay(&self, id: &str) -> u64 {
-        self.state
-            .lock()
-            .backoffs
-            .get(id)
-            .map_or(0, |b| b.delay_secs(id))
-    }
-
-    /// Process a registration attempt against a possibly-down index.
-    /// On success the registrant's backoff resets; on refusal the
-    /// per-registrant schedule advances and `Err(delay_secs)` tells the
-    /// registrant how long to wait before retrying (exponential, capped,
-    /// deterministically jittered — see [`RegistrationBackoff`]).
-    pub fn try_register_service(
-        &self,
-        msg: Registration,
-        svc: Arc<dyn InquiryService>,
-        now_unix: u64,
-    ) -> Result<RegisterOutcome, u64> {
-        let id = msg.id.clone();
-        let mut st = self.state.lock();
-        if !st.available {
-            let delay = st.backoffs.entry(id.clone()).or_default().on_failure(&id);
-            self.obs.inc(names::INFOD_GIIS_REFUSALS);
-            return Err(delay);
-        }
-        if let Some(b) = st.backoffs.get_mut(&id) {
-            b.on_success();
-        }
-        Ok(self.admit(&mut st, msg, svc, now_unix))
-    }
-
     /// Process a registration (initial or renewal) from any
     /// [`InquiryService`] — a GRIS, or a child GIIS: MDS-2 indexes form
     /// hierarchies (Figure 5), so a site GIIS can register into an
@@ -228,20 +92,10 @@ impl Giis {
     pub fn register_service(
         &self,
         msg: Registration,
-        svc: Arc<dyn InquiryService>,
-        now_unix: u64,
-    ) -> RegisterOutcome {
-        let mut st = self.state.lock();
-        self.admit(&mut st, msg, svc, now_unix)
-    }
-
-    fn admit(
-        &self,
-        st: &mut GiisState,
-        msg: Registration,
         service: Arc<dyn InquiryService>,
         now_unix: u64,
     ) -> RegisterOutcome {
+        let mut st = self.state.lock();
         let outcome = if st.registrants.contains_key(&msg.id) {
             self.obs.inc(names::INFOD_GIIS_RENEWALS);
             RegisterOutcome::Renewed
@@ -569,83 +423,6 @@ mod tests {
         // Expiry cascades naturally: after the ttl the whole subtree is
         // unreachable from the org index.
         assert!(search(&org, &filter::parse("(site=*)").unwrap(), 700).is_empty());
-    }
-
-    #[test]
-    fn down_index_refuses_with_exponential_jittered_backoff() {
-        let giis = Giis::new("top");
-        giis.set_available(false);
-        let reg = || Registration {
-            id: "lbl".into(),
-            ttl_secs: 300,
-        };
-        let d1 = giis
-            .try_register_service(reg(), gris_service("lbl"), 0)
-            .unwrap_err();
-        let d2 = giis
-            .try_register_service(reg(), gris_service("lbl"), 10)
-            .unwrap_err();
-        let d3 = giis
-            .try_register_service(reg(), gris_service("lbl"), 20)
-            .unwrap_err();
-        // Exponential growth around base 30 with ±25% jitter.
-        assert!((23..=38).contains(&d1), "first delay {d1}");
-        assert!((45..=75).contains(&d2), "second delay {d2}");
-        assert!((90..=150).contains(&d3), "third delay {d3}");
-        assert_eq!(giis.backoff_delay("lbl"), d3);
-        // Deterministic: a replay produces identical delays.
-        let replay = Giis::new("top");
-        replay.set_available(false);
-        assert_eq!(
-            replay
-                .try_register_service(reg(), gris_service("lbl"), 0)
-                .unwrap_err(),
-            d1
-        );
-        // Distinct registrants get decorrelated jitter.
-        let other = giis
-            .try_register_service(
-                Registration {
-                    id: "isi".into(),
-                    ttl_secs: 300,
-                },
-                gris_service("isi"),
-                0,
-            )
-            .unwrap_err();
-        assert_ne!(other, d1);
-    }
-
-    #[test]
-    fn backoff_caps_and_resets_on_success() {
-        let mut b = RegistrationBackoff::mds_default();
-        let mut last = 0;
-        for _ in 0..12 {
-            last = b.on_failure("lbl");
-        }
-        // Capped at max_secs ± jitter.
-        assert!(last <= 750, "capped delay {last}");
-        assert!(last >= 450, "capped delay {last}");
-        b.on_success();
-        assert_eq!(b.consecutive_failures(), 0);
-        assert_eq!(b.delay_secs("lbl"), 0);
-
-        // And through the Giis: recovery accepts and clears the schedule.
-        let giis = Giis::new("top");
-        giis.set_available(false);
-        let reg = || Registration {
-            id: "lbl".into(),
-            ttl_secs: 300,
-        };
-        giis.try_register_service(reg(), gris_service("lbl"), 0)
-            .unwrap_err();
-        giis.set_available(true);
-        let outcome = giis
-            .try_register_service(reg(), gris_service("lbl"), 60)
-            .unwrap();
-        assert_eq!(outcome, RegisterOutcome::New);
-        assert_eq!(giis.backoff_delay("lbl"), 0);
-        assert_eq!(giis.live_registrants(100), vec!["lbl".to_string()]);
     }
 
     #[test]

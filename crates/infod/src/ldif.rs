@@ -9,11 +9,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A distinguished name, stored as its string form, e.g.
 /// `cn=140.221.65.69, hostname=dpsslx04.lbl.gov, dc=lbl, dc=gov, o=grid`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Dn(String);
 
 impl Dn {
@@ -59,7 +57,7 @@ impl fmt::Display for Dn {
 /// A directory entry: DN plus multi-valued attributes. Attribute names
 /// are normalized to lowercase (LDAP attribute names are
 /// case-insensitive).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Entry {
     /// The entry's distinguished name.
     pub dn: Option<Dn>,

@@ -19,6 +19,11 @@ use crate::service::{CacheStatus, InquiryRequest, InquiryService};
 
 use super::{splitmix64, unit_open01};
 
+/// Label hashed with the seed to key the interarrival-gap stream.
+const ARRIVALS_LABEL: u64 = 0xa5a5_5a5a_0f0f_f0f0;
+/// Label hashed with the seed to key the filter-pick stream.
+const PICKS_LABEL: u64 = 0x5ee1_bad0_cafe_f00d;
+
 /// Configuration for one open-loop run.
 #[derive(Debug, Clone)]
 pub struct OpenLoopConfig {
@@ -105,15 +110,20 @@ pub fn run_open_loop<S: InquiryService + ?Sized>(
     let end_us = (cfg.start_unix + cfg.duration_secs) * 1_000_000;
     let mean_gap_us = 1_000_000.0 / cfg.rate_per_sec;
 
+    // Each stream is keyed by hashing the seed with its own label, so no
+    // seed's stream is another's shifted by a few draws.
+    let arrivals = splitmix64(cfg.seed ^ ARRIVALS_LABEL);
+    let picks = splitmix64(cfg.seed ^ PICKS_LABEL);
+    let draw = |key: u64, n: u64| splitmix64(key ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+
     let mut report = OpenLoopReport::default();
     let mut t_us = start_us;
     let mut next_second = cfg.start_unix;
-    let mut stream = cfg.seed;
+    let mut n = 0u64;
     loop {
         // Exponential interarrival on the arrival stream.
-        stream = stream.wrapping_add(1);
-        let gap = (-(unit_open01(splitmix64(stream ^ 0xa5a5_5a5a_0f0f_f0f0)).ln()) * mean_gap_us)
-            .round() as u64;
+        n += 1;
+        let gap = (-(unit_open01(draw(arrivals, n)).ln()) * mean_gap_us).round() as u64;
         t_us += gap.max(1);
         if t_us >= end_us {
             // Fire remaining second boundaries so per-second upkeep (and
@@ -129,8 +139,7 @@ pub fn run_open_loop<S: InquiryService + ?Sized>(
             on_second(next_second);
             next_second += 1;
         }
-        stream = stream.wrapping_add(1);
-        let pick = (splitmix64(stream ^ 0x5ee1_bad0_cafe_f00d) % filters.len() as u64) as usize;
+        let pick = (draw(picks, n) % filters.len() as u64) as usize;
         let req = InquiryRequest::new(filters[pick].clone(), now_unix).at_micros(t_us);
         report.offered += 1;
         match svc.inquire(&req) {

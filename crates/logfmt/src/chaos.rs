@@ -18,10 +18,8 @@
 //! campaign's master seed — no OS entropy anywhere (the workspace tidy
 //! pass bans it on the simulation path), so double runs are identical.
 
-use serde::{Deserialize, Serialize};
-
 /// Chaos configuration: corruption rate and PRNG seed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
     /// Probability that any one record line is corrupted.
     pub rate: f64,
@@ -37,7 +35,7 @@ impl ChaosConfig {
 }
 
 /// Which corruption was applied to a line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosOp {
     /// The line was cut somewhere strictly inside.
     Truncate,

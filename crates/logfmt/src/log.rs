@@ -84,23 +84,10 @@ impl PartialEq for TransferLog {
 }
 
 /// The serialised form is the records alone (what the derive produced
-/// before the epoch existed); a deserialised log starts a new epoch.
+/// before the epoch existed).
 impl serde::Serialize for TransferLog {
     fn to_value(&self) -> serde::Value {
         serde::Value::Map(vec![("records".to_string(), self.records.to_value())])
-    }
-}
-
-impl serde::Deserialize for TransferLog {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for TransferLog"))?;
-        let records = Vec::from_value(serde::map_get(m, "records")?)?;
-        Ok(TransferLog {
-            records,
-            epoch: Epoch::fresh(),
-        })
     }
 }
 
@@ -451,7 +438,7 @@ mod tests {
 
     #[test]
     fn epoch_stays_out_of_the_serialised_form() {
-        use serde::{Deserialize, Serialize};
+        use serde::Serialize;
         let mut log = TransferLog::new();
         log.append(rec(1, 1));
         let v = log.to_value();
@@ -462,8 +449,5 @@ mod tests {
             .map(|(k, _)| k.as_str())
             .collect();
         assert_eq!(fields, ["records"]);
-        let back = TransferLog::from_value(&v).unwrap();
-        assert_eq!(back, log);
-        assert_ne!(back.epoch(), log.epoch());
     }
 }

@@ -7,13 +7,13 @@
 //! is the paper's: `BW = file size / transfer time` — the whole transfer
 //! function including storage and protocol overheads, not just wire time.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Direction of a transfer from the *server's* point of view.
 ///
 /// `Read` = the server read the file from its disk and sent it (a client
 /// `get`); `Write` = the server stored an incoming file (a client `put`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Operation {
     /// Server-side read (client retrieval).
     Read,
@@ -41,7 +41,7 @@ impl Operation {
 }
 
 /// One transfer-log entry (Figure 3 of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TransferRecord {
     /// Address of the remote endpoint (the paper logs the source IP).
     pub source: String,
@@ -348,13 +348,5 @@ mod tests {
         assert_eq!(Operation::parse("STOR"), Some(Operation::Write));
         assert_eq!(Operation::parse("bogus"), None);
         assert_eq!(Operation::Read.as_str(), "Read");
-    }
-
-    #[test]
-    fn serde_json_roundtrip() {
-        let r = sample_record();
-        let s = serde_json::to_string(&r).unwrap();
-        let back: TransferRecord = serde_json::from_str(&s).unwrap();
-        assert_eq!(r, back);
     }
 }

@@ -23,14 +23,14 @@
 //!   wrong record past the decoder (property-tested in
 //!   `tests/proptest_salvage.rs`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::integrity::{check_line, CrcStatus};
 use crate::log::TransferLog;
 use crate::ulm;
 
 /// Why one line was quarantined.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum SalvageReason {
     /// The line failed ULM parsing (the carried string is the parse
     /// error's rendering — torn tails usually land here).
@@ -60,7 +60,7 @@ impl std::fmt::Display for SalvageReason {
 }
 
 /// One quarantined line.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct QuarantinedLine {
     /// 1-based line number in the salvaged document.
     pub line: usize,
@@ -71,7 +71,7 @@ pub struct QuarantinedLine {
 }
 
 /// What a salvage pass kept and threw away.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct SalvageReport {
     /// Records recovered.
     pub kept: usize,
@@ -304,7 +304,7 @@ mod tests {
     fn report_serializes() {
         let (_, report) = salvage_doc("garbage\n", &SalvageOptions::default());
         let json = serde_json::to_string(&report).expect("serialize");
-        let back: SalvageReport = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(report, back);
+        assert!(json.contains("\"kept\":0"), "{json}");
+        assert!(json.contains("\"content\":\"garbage\""), "{json}");
     }
 }

@@ -10,7 +10,7 @@
 
 use std::any::Any;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wanpred_simnet::engine::{Agent, Ctx, TimerTag};
 use wanpred_simnet::flow::{FlowDone, FlowFailed, FlowSpec, TcpParams};
 use wanpred_simnet::time::{SimDuration, SimTime};
@@ -28,7 +28,7 @@ const PROBE_INTERVAL: SimDuration = SimDuration::from_mins(5);
 const PROBE_TIMEOUT: SimDuration = SimDuration::from_mins(4);
 
 /// One probe result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ProbeMeasurement {
     /// Probe start time.
     pub at: SimTime,

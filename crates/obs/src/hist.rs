@@ -8,7 +8,7 @@
 //! 1/8 of its lower bound, so a quantile read from the bucket midpoint
 //! is within ~6.25% of the exact order statistic.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Linear region: values below 16 get exact single-value buckets.
 const LINEAR_MAX: u64 = 16;
@@ -137,7 +137,7 @@ impl Histogram {
 
 /// The exported summary of one histogram: totals plus the three
 /// quantiles the paper's analyses care about.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct HistogramSnapshot {
     /// Values recorded.
     pub count: u64,

@@ -88,8 +88,6 @@ pub const INFOD_GIIS_REGISTRATIONS: &str = "infod.giis.registrations";
 pub const INFOD_GIIS_RENEWALS: &str = "infod.giis.renewals";
 /// GIIS registrants expired by TTL sweep.
 pub const INFOD_GIIS_EXPIRATIONS: &str = "infod.giis.expirations";
-/// GIIS registrations refused while the index was down.
-pub const INFOD_GIIS_REFUSALS: &str = "infod.giis.refusals";
 /// GIIS searches fanned out over live registrants.
 pub const INFOD_GIIS_SEARCHES: &str = "infod.giis.searches";
 /// Inquiries answered by the sharded serving layer (shed ones excluded).
@@ -213,7 +211,6 @@ pub fn all() -> &'static [&'static str] {
         INFOD_GIIS_REGISTRATIONS,
         INFOD_GIIS_RENEWALS,
         INFOD_GIIS_EXPIRATIONS,
-        INFOD_GIIS_REFUSALS,
         INFOD_GIIS_SEARCHES,
         INFOD_SERVE_INQUIRIES,
         INFOD_SERVE_SHED,

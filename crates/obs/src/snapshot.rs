@@ -19,14 +19,14 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wanpred_logfmt::integrity::append_crc;
 use wanpred_logfmt::writer::atomic_write;
 
 use crate::hist::HistogramSnapshot;
 
 /// A frozen view of one sink's metric tree.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Snapshot {
     /// Monotonic event tallies.
     pub counters: BTreeMap<String, u64>,
@@ -61,11 +61,6 @@ impl Snapshot {
     /// order is the `BTreeMap` name order.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("snapshot serializes")
-    }
-
-    /// Parse a snapshot back from [`Snapshot::to_json`] output.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| e.to_string())
     }
 
     /// ULM-style logfmt rendering: one `METRIC=... KIND=... ...` line per
@@ -120,13 +115,6 @@ mod tests {
             },
         );
         s
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let s = sample();
-        let back = Snapshot::from_json(&s.to_json()).expect("parse");
-        assert_eq!(s, back);
     }
 
     #[test]

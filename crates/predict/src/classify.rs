@@ -9,7 +9,7 @@
 //! 500 MB and 1 GB. Sizes use the paper's "MB" convention of
 //! 1_024_000 bytes (Figure 3).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::observation::Observation;
 
@@ -18,7 +18,7 @@ pub const PAPER_MB: u64 = 1_024_000;
 
 /// The paper's four file-size classes, named by their representative
 /// sizes as in Figures 8–21.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum SizeClass {
     /// 0–50 MB ("10 MB range").
     C10MB,

@@ -8,7 +8,7 @@
 //! target's file-size class. Relative performance (Figures 14–21) tallies
 //! how often each predictor was the best or the worst on a transfer.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::classify::SizeClass;
 use crate::observation::Observation;
@@ -16,7 +16,7 @@ use crate::registry::NamedPredictor;
 use crate::stats;
 
 /// Evaluation options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalOptions {
     /// Number of log values that must exist before predictions begin
     /// (the paper's 15-value training set — counted over the *whole* log,
@@ -31,7 +31,7 @@ impl Default for EvalOptions {
 }
 
 /// One prediction attempt on one target transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PredictionOutcome {
     /// Target transfer start time.
     pub at_unix: u64,
@@ -60,7 +60,7 @@ impl PredictionOutcome {
 }
 
 /// All outcomes of one predictor over a replay.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PredictorReport {
     /// Predictor display name.
     pub name: String,
@@ -134,7 +134,7 @@ impl PredictorReport {
 }
 
 /// Relative best/worst tallies for one predictor (Figures 14–21).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelativeReport {
     /// Predictor display name.
     pub name: String,

@@ -17,8 +17,6 @@
 //!   can be applied to a path with *no transfer history at all* given
 //!   only that path's probes ([`ProbeRegression::cold_start`]).
 
-use serde::{Deserialize, Serialize};
-
 use crate::classify::{filter_class, SizeClass};
 use crate::observation::Observation;
 use crate::stats;
@@ -26,7 +24,7 @@ use crate::window::Window;
 
 /// One probe measurement `(unix seconds, bandwidth)` in any consistent
 /// unit; only ratios and linear fits of the values are used.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbePoint {
     /// Measurement time.
     pub at_unix: u64,
@@ -127,7 +125,7 @@ impl Default for ProbeRegression {
 }
 
 /// A fitted probe→bandwidth model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FittedRegression {
     /// Intercept (KB/s).
     pub a: f64,

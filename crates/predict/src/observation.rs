@@ -8,12 +8,11 @@
 //! bandwidth against it — the paper's mathematical techniques themselves
 //! (§4.1) look only at the bandwidth values.
 
-use serde::{Deserialize, Serialize};
 use wanpred_logfmt::ulm::{decode_borrowed, DecodeScratch, TransferRecordRef};
 use wanpred_logfmt::{LogError, TransferLog, TransferRecord};
 
 /// One historical throughput observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observation {
     /// When the transfer started (Unix seconds).
     pub at_unix: u64,

@@ -7,12 +7,10 @@
 //! at *irregular* intervals — "last 25 values" and "last 25 hours" select
 //! very different data on a bursty log.
 
-use serde::{Deserialize, Serialize};
-
 use crate::observation::Observation;
 
 /// A history-selection window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Window {
     /// The entire history.
     All,

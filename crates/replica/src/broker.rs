@@ -267,13 +267,13 @@ impl TopKSelection {
             .expect("ranked entries index into scores")
     }
 
-    /// Same degraded-mode criterion as [`Selection::degraded`].
+    /// Same degraded-mode rule as [`Selection::degraded`].
     pub fn degraded(&self) -> bool {
         scores_degraded(&self.scores)
     }
 }
 
-/// Shared degraded-mode criterion (see [`Selection::degraded`]).
+/// Shared degraded-mode rule (see [`Selection::degraded`]).
 fn scores_degraded(scores: &[ReplicaScore]) -> bool {
     scores.iter().any(|s| {
         (s.staleness_secs > 0 && s.rung != Some(FallbackRung::Tournament))

@@ -8,10 +8,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// One physical copy of a logical file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhysicalReplica {
     /// Hosting GridFTP server's host name (matches the info service's
     /// `hostname` attribute).
@@ -72,7 +70,7 @@ impl std::fmt::Display for ReplicaError {
 impl std::error::Error for ReplicaError {}
 
 /// The catalog.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplicaCatalog {
     entries: BTreeMap<String, Vec<PhysicalReplica>>,
 }

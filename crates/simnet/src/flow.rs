@@ -16,17 +16,15 @@
 //! classification (§4.3) and behind NWS's 64 KB probes under-reporting
 //! GridFTP throughput (Figures 1–2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkId, NodeId};
 
 /// Identifier of an active flow within the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowId(pub u64);
 
 /// TCP parameters for a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpParams {
     /// Negotiated socket buffer per stream, in bytes; the steady-state
     /// congestion window cannot exceed this.
@@ -67,7 +65,7 @@ impl Default for TcpParams {
 }
 
 /// Specification of a transfer handed to the engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlowSpec {
     /// Source node.
     pub from: NodeId,
@@ -197,7 +195,7 @@ impl Flow {
 }
 
 /// Completion report delivered to the owning agent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlowDone {
     /// The completed flow's id.
     pub id: FlowId,
@@ -215,7 +213,7 @@ pub struct FlowDone {
 
 /// Failure report delivered to the owning agent when a flow is killed by
 /// fault injection (connection reset, server crash) before completing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlowFailed {
     /// The failed flow's id.
     pub id: FlowId,

@@ -9,7 +9,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of microseconds in one second.
 pub const MICROS_PER_SEC: u64 = 1_000_000;
@@ -19,15 +19,11 @@ pub const MICROS_PER_SEC: u64 = 1_000_000;
 ///
 /// Campaign drivers map the simulation epoch to a wall-clock Unix timestamp
 /// (see `wanpred-testbed`); within the simulator only relative time matters.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimTime(u64);
 
 /// A span of simulation time, in microseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -8,16 +8,14 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// Identifier of a node (host or site gateway) in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// Identifier of a unidirectional link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -33,7 +31,7 @@ impl fmt::Display for LinkId {
 }
 
 /// A node in the topology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Human-readable name, e.g. `"anl"` or `"dpsslx04.lbl.gov"`.
     pub name: String,
@@ -46,7 +44,7 @@ pub struct Node {
 /// weight in the fair-share computation, not as a capacity reduction, so
 /// that a transfer using more parallel streams claims a larger share —
 /// exactly the GridFTP parallelism effect the paper's logs exhibit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Link {
     /// Human-readable name, e.g. `"anl->lbl"`.
     pub name: String,
@@ -68,14 +66,14 @@ impl Link {
 }
 
 /// A static route: the ordered list of links a flow traverses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// Links from source to destination, in traversal order.
     pub links: Vec<LinkId>,
 }
 
 /// The full network graph plus a static routing table.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,

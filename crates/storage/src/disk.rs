@@ -16,10 +16,8 @@
 //! positioning delay is not modelled: an access costs only its share of
 //! the contended rate.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of a disk (or RAID volume presented as one device).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskSpec {
     /// Sustained sequential read throughput, bytes/sec.
     pub read_bps: f64,

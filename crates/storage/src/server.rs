@@ -4,14 +4,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::FileCache;
 use crate::disk::DiskSpec;
 use crate::volume::FileCatalog;
 
 /// Identifier of an open access on a storage server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AccessId(pub u64);
 
 /// A storage server at one site.

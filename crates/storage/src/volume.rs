@@ -7,17 +7,15 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// A logical volume: a mount prefix on a storage server.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Volume {
     /// Volume name/mount point, e.g. `/home/ftp`.
     pub mount: String,
 }
 
 /// A file known to a storage server.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileEntry {
     /// Absolute path, e.g. `/home/ftp/vazhkuda/100MB`.
     pub path: String,
@@ -49,7 +47,7 @@ impl std::fmt::Display for CatalogError {
 impl std::error::Error for CatalogError {}
 
 /// The per-server file catalog.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FileCatalog {
     volumes: Vec<Volume>,
     files: BTreeMap<String, FileEntry>,

@@ -9,7 +9,7 @@
 use std::any::Any;
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wanpred_gridftp::{
     RetryPolicy, TransferEvent, TransferKind, TransferManager, TransferRequest, TransferToken,
 };
@@ -32,7 +32,7 @@ use crate::sites::{build_testbed, Testbed};
 use crate::workload::WorkloadConfig;
 
 /// Which site pair a transfer belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pair {
     /// LBL server → ANL client.
     LblAnl,
@@ -79,9 +79,6 @@ pub struct CampaignConfig {
     /// exercise exactly what a predictor reading a crash-damaged log would
     /// see. Chaos seeds derive from [`CampaignConfig::seed`].
     pub chaos: Option<f64>,
-    /// The site pairs whose workload loops run (both, by default; the
-    /// probe sensors follow the same selection).
-    pub pairs: Vec<Pair>,
     /// Run the workload through the co-allocating client instead of the
     /// per-pair loops: each GET is striped across the broker's top-k
     /// sources with mid-stream failover ([`wanpred_replica::Coallocator`]).
@@ -110,7 +107,6 @@ impl CampaignConfig {
                 faults: FaultConfig::none(),
                 retry: None,
                 chaos: None,
-                pairs: Pair::ALL.to_vec(),
                 coalloc: None,
                 obs: ObsSink::disabled(),
             },
@@ -174,12 +170,6 @@ impl CampaignBuilder {
         self
     }
 
-    /// Campaign length as an explicit duration.
-    pub fn duration(mut self, duration: SimDuration) -> Self {
-        self.cfg.duration = duration;
-        self
-    }
-
     /// Replace the per-pair workload.
     pub fn workload(mut self, workload: WorkloadConfig) -> Self {
         self.cfg.workload = workload;
@@ -189,14 +179,6 @@ impl CampaignBuilder {
     /// Enable or disable the NWS probe sensors.
     pub fn probes(mut self, probes: bool) -> Self {
         self.cfg.probes = probes;
-        self
-    }
-
-    /// Restrict the campaign to a subset of site pairs (workload loops
-    /// and probe sensors both follow the selection; unselected pairs
-    /// produce empty logs).
-    pub fn pair_set(mut self, pairs: &[Pair]) -> Self {
-        self.cfg.pairs = pairs.to_vec();
         self
     }
 
@@ -249,7 +231,7 @@ impl CampaignBuilder {
 }
 
 /// Everything a campaign produces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CampaignResult {
     /// Unix seconds at simulation time zero.
     pub epoch_unix: u64,
@@ -288,7 +270,7 @@ pub struct CampaignResult {
 /// loop. `failed` counts *logical* transfers abandoned with no surviving
 /// source — a stripe death that was rebalanced away is recovery, not
 /// failure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct CoallocSummary {
     /// Stripe width requested (1 = single-best baseline).
     pub k: usize,
@@ -361,7 +343,6 @@ fn corrupt_and_salvage(log: &TransferLog, rate: f64, seed: u64) -> (TransferLog,
 }
 
 struct PairRuntime {
-    pair: Pair,
     server: NodeId,
     rng: StdRng,
     outstanding: Option<TransferToken>,
@@ -685,12 +666,7 @@ impl Agent for CampaignAgent {
 
 /// Run a campaign to completion.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
-    let testbed: Testbed = build_testbed(cfg.seed, false);
-    run_campaign_on(cfg, testbed)
-}
-
-/// Run a campaign on a pre-built testbed (lets tests pass a quiet one).
-pub fn run_campaign_on(cfg: &CampaignConfig, testbed: Testbed) -> CampaignResult {
+    let testbed = build_testbed(cfg.seed, false);
     let mut mgr = testbed.build_manager(cfg.epoch_unix);
     mgr.set_obs(cfg.obs.clone());
     if let Some(policy) = &cfg.retry {
@@ -719,7 +695,7 @@ pub fn run_campaign_on(cfg: &CampaignConfig, testbed: Testbed) -> CampaignResult
     let fault_events = schedule.len();
 
     // In co-allocation mode the single coalloc loop replaces the
-    // per-pair loops (probes still follow `cfg.pairs`).
+    // per-pair loops (the probes still run on both pairs).
     let [anl_site, lbl_site, isi_site] = &sites;
     let coalloc_rt = cfg.coalloc.map(|k| {
         let mut broker = Broker::new(NoPerfInfo)
@@ -747,10 +723,9 @@ pub fn run_campaign_on(cfg: &CampaignConfig, testbed: Testbed) -> CampaignResult
     let pair_runtimes = if cfg.coalloc.is_some() {
         Vec::new()
     } else {
-        cfg.pairs
-            .iter()
-            .map(|&pair| PairRuntime {
-                pair,
+        Pair::ALL
+            .into_iter()
+            .map(|pair| PairRuntime {
                 server: server_of(pair),
                 rng: cfg.seed.derive(seed_name_of(pair)),
                 outstanding: None,
@@ -774,9 +749,9 @@ pub fn run_campaign_on(cfg: &CampaignConfig, testbed: Testbed) -> CampaignResult
     }));
 
     let probe_ids: Vec<(Pair, _)> = if cfg.probes {
-        cfg.pairs
-            .iter()
-            .map(|&pair| {
+        Pair::ALL
+            .into_iter()
+            .map(|pair| {
                 (
                     pair,
                     engine.add_agent(Box::new(ProbeAgent::new(server_of(pair), anl))),
@@ -812,14 +787,6 @@ pub fn run_campaign_on(cfg: &CampaignConfig, testbed: Testbed) -> CampaignResult
     let agent = engine
         .agent::<CampaignAgent>(agent_id)
         .expect("campaign agent");
-    debug_assert!(
-        cfg.coalloc.is_some()
-            || agent
-                .pairs
-                .iter()
-                .map(|p| p.pair)
-                .eq(cfg.pairs.iter().copied())
-    );
     let mut lbl_log = agent.mgr.server_log(lbl).cloned().unwrap_or_default();
     let mut isi_log = agent.mgr.server_log(isi).cloned().unwrap_or_default();
     let (mut lbl_salvage, mut isi_salvage) = (None, None);
@@ -882,7 +849,6 @@ mod tests {
             faults: FaultConfig::none(),
             retry: None,
             chaos: None,
-            pairs: Pair::ALL.to_vec(),
             coalloc: None,
             obs: ObsSink::disabled(),
         }
@@ -1111,20 +1077,6 @@ mod tests {
         let structed = run_campaign(&short_config(1, false));
         assert_eq!(built.lbl_log, structed.lbl_log);
         assert_eq!(built.isi_log, structed.isi_log);
-    }
-
-    #[test]
-    fn pair_set_restricts_workload_and_probes() {
-        let cfg = CampaignConfig::builder(42)
-            .duration_days(1)
-            .probes(true)
-            .pair_set(&[Pair::LblAnl])
-            .build();
-        let r = run_campaign(&cfg);
-        assert!(r.lbl_log.len() > 5);
-        assert_eq!(r.isi_log.len(), 0, "unselected pair must stay silent");
-        assert!(!r.lbl_probes.is_empty());
-        assert!(r.isi_probes.is_empty());
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! to text tables lives in [`crate::report`], and `wanpred figure ID`
 //! runs each one.
 
-use serde::{Deserialize, Serialize};
 use wanpred_logfmt::Operation;
 use wanpred_predict::prelude::*;
 
@@ -27,7 +26,7 @@ pub fn observation_series(result: &CampaignResult, pair: Pair) -> Vec<Observatio
 
 /// Figures 1–2: the GridFTP and NWS bandwidth series for one pair, in
 /// MB/s against Unix time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig0102Series {
     /// Pair label.
     pub pair: String,
@@ -58,7 +57,7 @@ pub fn fig01_02(result: &CampaignResult, pair: Pair) -> Fig0102Series {
 }
 
 /// Figure 7: transfer counts overall and per size class.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fig07Counts {
     /// Pair label.
     pub pair: String,
@@ -87,7 +86,7 @@ pub fn fig07(result: &CampaignResult, pair: Pair) -> Fig07Counts {
 }
 
 /// One predictor's error in one figure cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ErrorCell {
     /// Predictor name (base name, no classification suffix).
     pub predictor: String,
@@ -117,7 +116,7 @@ pub fn fig08_11(result: &CampaignResult, pair: Pair, class: SizeClass) -> Vec<Er
 
 /// Figures 12–13: classification benefit — each base predictor's MAPE
 /// without vs with file-size classification, over all targets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClassificationCell {
     /// Base predictor name.
     pub predictor: String,
@@ -158,7 +157,7 @@ pub fn fig14_21(result: &CampaignResult, pair: Pair, class: SizeClass) -> Vec<Re
 
 /// The §6.2 headline check: the worst per-class MAPE across predictors
 /// and the average classification benefit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SummaryStats {
     /// Pair label.
     pub pair: String,

@@ -7,7 +7,6 @@
 //! RTTs, background-weight ranges) are documented inline and checked by
 //! this module's tests.
 
-use serde::{Deserialize, Serialize};
 use wanpred_gridftp::{ServerConfig, TransferManager};
 use wanpred_simnet::load::{DiurnalProfile, LoadModelConfig};
 use wanpred_simnet::network::Network;
@@ -17,7 +16,7 @@ use wanpred_simnet::topology::{LinkId, NodeId, Topology};
 use wanpred_storage::StorageServer;
 
 /// One testbed site.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteSpec {
     /// Short label ("anl", "lbl", "isi").
     pub label: String,

@@ -14,13 +14,12 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use wanpred_simnet::rng::exponential;
 use wanpred_simnet::time::{SimDuration, SimTime};
 use wanpred_storage::paper_fileset;
 
 /// Configuration of the per-pair workload generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Daily window start hour (local, 0–23). Paper: 18 (6 pm).
     pub window_start_hour: u64,

@@ -265,3 +265,212 @@ fn tournament_reports_are_bit_identical_to_the_slice_oracle_on_campaign_logs() {
         }
     }
 }
+
+/// Seeds the independence check runs over: four neighbours, and one that
+/// differs only in the high word.
+const INDEPENDENCE_SEEDS: [u64; 5] = [0, 1, 2, 3, 1 << 32];
+
+/// Draws per stream the independence check compares.
+const DRAWS: usize = 16;
+
+/// What one seeded entry point produced on one seed: its first
+/// [`DRAWS`] draws, and a cheap summary of the whole run.
+struct Drawn {
+    draws: Vec<u64>,
+    summary: u64,
+}
+
+/// A seeded entry point, named, as a function from seed to draws.
+type EntryPoint = (&'static str, fn(u64) -> Drawn);
+
+/// Whether `b` replays `a` shifted by `d` draws, either way, for a shift
+/// that still overlaps half the draws (`d = 0` is the same stream).
+fn shifted_copy(a: &[u64], b: &[u64]) -> bool {
+    let same_from = |x: &[u64], y: &[u64], d: usize| x[d..].iter().zip(y).all(|(p, q)| p == q);
+    (0..=a.len().min(b.len()) / 2).any(|d| same_from(a, b, d) || same_from(b, a, d))
+}
+
+/// A campaign's first transfers: start time and size of each.
+fn campaign_draws(seed: u64) -> Drawn {
+    let r = run_campaign(&CampaignConfig {
+        duration: SimDuration::from_days(1),
+        probes: false,
+        ..CampaignConfig::august(seed)
+    });
+    let draws = r.lbl_log.records().iter().take(DRAWS);
+    Drawn {
+        draws: draws.map(|t| t.start_unix ^ t.file_size).collect(),
+        summary: (r.lbl_log.len() + r.isi_log.len()) as u64,
+    }
+}
+
+/// The synthetic serving fixture's first site: each transfer's time.
+fn serving_sites_draws(seed: u64) -> Drawn {
+    let sites = wanpred_testbed::serving_sites(2, DRAWS, seed);
+    let time_bits = |s: &wanpred_testbed::ServingSite| -> Vec<u64> {
+        s.log
+            .records()
+            .iter()
+            .map(|t| t.total_time_s.to_bits())
+            .collect()
+    };
+    Drawn {
+        draws: time_bits(&sites[0]),
+        summary: time_bits(&sites[1])[0],
+    }
+}
+
+/// Records every open-loop arrival: its time and the filter it drew.
+struct ArrivalLog {
+    inner: Giis,
+    arrivals: std::sync::Mutex<Vec<(u64, String)>>,
+}
+
+impl InquiryService for ArrivalLog {
+    fn inquire(
+        &self,
+        req: &InquiryRequest,
+    ) -> Result<InquiryResponse, wanpred_infod::InquiryError> {
+        let at = req.arrival_us.expect("the load generator stamps arrivals");
+        let mut arrivals = self.arrivals.lock().expect("no panic while held");
+        arrivals.push((at, req.filter.to_string()));
+        self.inner.inquire(req)
+    }
+}
+
+/// The open-loop generator's first arrivals: each gap and filter pick.
+fn open_loop_draws(seed: u64) -> Drawn {
+    let filters: Vec<String> = (0..8).map(|i| format!("(hostname=site{i})")).collect();
+    let log = ArrivalLog {
+        inner: Giis::new("empty"),
+        arrivals: Default::default(),
+    };
+    let cfg = wanpred_infod::OpenLoopConfig {
+        seed,
+        rate_per_sec: 1_000.0,
+        duration_secs: 2,
+        start_unix: 1_000_000,
+        filters: filters.clone(),
+    };
+    let report = wanpred_infod::run_open_loop(&log, &cfg, |_| {});
+    let arrivals = log.arrivals.into_inner().expect("no panic while held");
+    let draws = arrivals.windows(2).take(DRAWS).map(|w| {
+        let pick = filters.iter().position(|f| *f == w[1].1);
+        (w[1].0 - w[0].0) << 8 | pick.expect("a pool filter") as u64
+    });
+    Drawn {
+        draws: draws.collect(),
+        summary: report.offered,
+    }
+}
+
+/// The admission model's first service times: inquiries a second apart
+/// never queue, so each modeled latency is one service-time draw.
+fn admission_draws(seed: u64) -> Drawn {
+    let server = ShardedServer::new(ServeConfig {
+        admission: Some(wanpred_infod::AdmissionConfig {
+            coalesce: false,
+            seed,
+            ..Default::default()
+        }),
+        ..ServeConfig::default()
+    });
+    let draws: Vec<u64> = (0..DRAWS as u64)
+        .map(|i| {
+            let mut req = InquiryRequest::parse("(objectclass=*)", 1_000 + i).expect("parses");
+            req.arrival_us = Some((1_000 + i) * 1_000_000);
+            let resp = server.inquire(&req).expect("an idle server admits");
+            resp.provenance.modeled_latency_us.expect("admission is on")
+        })
+        .collect();
+    Drawn {
+        summary: draws.iter().sum(),
+        draws,
+    }
+}
+
+/// The chaos injector's first damaged lines.
+fn chaos_draws(seed: u64) -> Drawn {
+    let site = wanpred_testbed::serving_sites(1, 200, 0).remove(0);
+    let doc = site.log.to_ulm_string_checksummed();
+    let (_, report) =
+        wanpred_logfmt::corrupt_doc(&doc, &wanpred_logfmt::ChaosConfig::new(0.2, seed));
+    let lines = report.ops.iter().map(|(line, _)| *line as u64);
+    Drawn {
+        draws: lines.take(DRAWS).collect(),
+        summary: report.ops.len() as u64,
+    }
+}
+
+/// The fault schedule's first actions over a fixed testbed.
+fn fault_schedule_draws(seed: u64) -> Drawn {
+    let testbed = build_testbed(MasterSeed(0), false);
+    let schedule = FaultSchedule::generate(
+        &FaultConfig::wan_default(),
+        testbed.network.topology(),
+        MasterSeed(seed),
+        SimDuration::from_days(2),
+    );
+    let times = schedule.events().iter().map(|e| e.at.as_micros());
+    Drawn {
+        draws: times.clone().take(DRAWS).collect(),
+        summary: times.min().expect("two days of WAN faults"),
+    }
+}
+
+/// The random selection baseline's first picks among 64 candidates.
+fn random_policy_draws(seed: u64) -> Drawn {
+    let scores: Vec<wanpred_replica::ReplicaScore> = (0..64)
+        .map(|i| wanpred_replica::ReplicaScore {
+            replica: PhysicalReplica {
+                host: format!("h{i}"),
+                path: "/f".to_string(),
+                size: 1,
+            },
+            predicted_kbs: None,
+            effective_kbs: None,
+            rung: None,
+            staleness_secs: 0,
+        })
+        .collect();
+    let mut policy = SelectionPolicy::random(seed);
+    let draws: Vec<u64> = (0..DRAWS).map(|_| policy.choose(&scores) as u64).collect();
+    Drawn {
+        summary: draws[0],
+        draws,
+    }
+}
+
+#[test]
+fn distinct_seeds_give_independent_streams() {
+    // A spread over seeds means something only if distinct seeds are
+    // independent runs: no seed may replay another's draws shifted by a
+    // few places, and a run's summary must not be the same on every seed.
+    let entry_points: [EntryPoint; 7] = [
+        ("run_campaign", campaign_draws),
+        ("serving_sites", serving_sites_draws),
+        ("run_open_loop", open_loop_draws),
+        ("AdmissionConfig", admission_draws),
+        ("ChaosConfig", chaos_draws),
+        ("FaultSchedule", fault_schedule_draws),
+        ("SelectionPolicy::Random", random_policy_draws),
+    ];
+    for (name, draw) in entry_points {
+        let runs: Vec<Drawn> = INDEPENDENCE_SEEDS.iter().map(|&s| draw(s)).collect();
+        for (i, a) in runs.iter().enumerate() {
+            assert_eq!(a.draws.len(), DRAWS, "{name}: too few draws");
+            for (j, b) in runs.iter().enumerate().skip(i + 1) {
+                assert!(
+                    !shifted_copy(&a.draws, &b.draws),
+                    "{name}: seed {} replays seed {}",
+                    INDEPENDENCE_SEEDS[j],
+                    INDEPENDENCE_SEEDS[i]
+                );
+            }
+        }
+        assert!(
+            runs.iter().any(|r| r.summary != runs[0].summary),
+            "{name}: the same summary on every seed"
+        );
+    }
+}
