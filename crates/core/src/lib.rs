@@ -87,7 +87,7 @@ pub mod prelude {
     pub use wanpred_simnet::prelude::*;
     pub use wanpred_storage::{DiskSpec, FileCatalog, StorageServer};
     pub use wanpred_testbed::{
-        build_testbed, fig01_02, fig07, fig08_11, fig12_13, fig14_21, run_campaign,
+        build_testbed, fig01_02, fig07, fig08_11, fig12_13, fig14_21, run_campaign, Campaign,
         CampaignBuilder, CampaignConfig, CampaignResult, CoallocSummary, Pair, Table,
         WorkloadConfig,
     };

@@ -8,7 +8,7 @@
 //!
 //! * **Refresh path** — [`ShardedServer::refresh`] walks the registered
 //!   sites, calls [`SnapshotSource::materialize`] on each live one, and
-//!   swaps an immutable [`ShardSnapshot`] (an `Arc` behind a short
+//!   swaps an immutable `ShardSnapshot` (an `Arc` behind a short
 //!   `RwLock` hold) per shard. A site whose soft-state registration
 //!   lapsed keeps its last materialized view, aging under the
 //!   `stalenesssecs` machinery — serve stale, never block.

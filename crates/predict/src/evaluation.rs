@@ -63,18 +63,6 @@ impl Evaluation {
         &self.predictors
     }
 
-    /// Consume the evaluation, yielding the suite (callers that pair
-    /// reports with predictors, e.g. for live prediction after a
-    /// replay, take ownership this way).
-    pub fn into_predictors(self) -> Vec<NamedPredictor> {
-        self.predictors
-    }
-
-    /// Replay options.
-    pub fn options(&self) -> EvalOptions {
-        self.opts
-    }
-
     /// Replay a time-ordered series through the configured suite.
     ///
     /// The series must be sorted by `at_unix`; use
@@ -153,19 +141,6 @@ impl EvaluationBuilder {
         self
     }
 
-    /// Append a single predictor to the suite (starting from empty if
-    /// no suite was set yet).
-    pub fn predictor(mut self, p: NamedPredictor) -> Self {
-        self.predictors.get_or_insert_with(Vec::new).push(p);
-        self
-    }
-
-    /// Set all evaluation options at once.
-    pub fn options(mut self, opts: EvalOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
     /// Set the training-set size (the paper's 15-value default).
     pub fn training(mut self, training: usize) -> Self {
         self.opts.training = training;
@@ -213,7 +188,9 @@ mod tests {
     fn defaults_are_full_suite_incremental() {
         let eval = Evaluation::builder().build();
         assert_eq!(eval.predictors().len(), 30);
-        assert_eq!(eval.options().training, 15);
+        // The 15-value training prefix leaves 5 of 20 values as targets.
+        let reports = eval.run(&series(20));
+        assert_eq!(reports[0].outcomes.len() + reports[0].declined, 5);
     }
 
     #[test]
@@ -236,10 +213,10 @@ mod tests {
     fn single_predictor_and_training_override() {
         let s = series(25);
         let reports = Evaluation::builder()
-            .predictor(NamedPredictor::new(
+            .suite(vec![NamedPredictor::new(
                 Box::new(EwmaPredictor::new(0.5)),
                 false,
-            ))
+            )])
             .training(20)
             .build()
             .run(&s);
@@ -318,13 +295,5 @@ mod tests {
         // Nothing to assert on the sink itself (it is null); the point
         // is that the replay ran without a registry allocation.
         assert!(!ObsSink::disabled().is_enabled());
-    }
-
-    #[test]
-    fn into_predictors_round_trips_the_suite() {
-        let eval = Evaluation::builder().suite(paper_suite(true)).build();
-        let suite = eval.into_predictors();
-        assert_eq!(suite.len(), 15);
-        assert!(suite.iter().all(|p| p.is_classified()));
     }
 }

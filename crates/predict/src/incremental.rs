@@ -9,7 +9,7 @@
 //!
 //! * **AVG\*** — a rolling sum/count with count-based (`AVG5/15/25`)
 //!   and time-based (`AVG5hr/15hr/25hr`) eviction. The sum uses a
-//!   two-stack sliding aggregate ([`RollingSum`]) rather than a single
+//!   two-stack sliding aggregate (`RollingSum`) rather than a single
 //!   subtract-on-evict accumulator: subtracting evicted values from a
 //!   running total cancels catastrophically when a large old regime
 //!   leaves the window, while the two-stack form only ever *adds*

@@ -2,7 +2,7 @@
 //!
 //! A predictor maps a time-ordered throughput history to an estimate of
 //! the *next* transfer's bandwidth. Every technique in the paper's
-//! Figure 4 is the composition of a history [`Window`](crate::window::Window)
+//! Figure 4 is the composition of a history [`Window`]
 //! with one of three estimator families (mean, median, AR); this module
 //! defines the common trait they implement.
 

@@ -9,7 +9,7 @@
 //! predictor that was good last week but mistracks the current regime
 //! loses its lead within one window. The candidate pool defaults to the
 //! paper's 30 variants plus the regression family in both flavours
-//! ([`extended_suite`](crate::registry::extended_suite)).
+//! ([`extended_suite`]).
 //!
 //! ## Selection rule
 //!
@@ -84,7 +84,7 @@ const SEED_CHAMPION: &str = "MED+C";
 pub struct TournamentOptions {
     /// Observations absorbed before [`replay_tournament`] starts
     /// *reporting* predictions (the paper's 15-value training set, same
-    /// default as [`EvalOptions`](crate::eval::EvalOptions)). The
+    /// default as [`EvalOptions`]). The
     /// tournament itself scores candidates from the first observation
     /// they can predict — the training prefix is unscored in reports
     /// but not unlearned, so the leaderboard is already informed when

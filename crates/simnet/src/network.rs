@@ -14,7 +14,7 @@
 //! reachable from its route by stepping from a link to any flow crossing
 //! it and on to that flow's other links, with the flows on them and those
 //! links' background load. Every mutator marks the links it touches
-//! ([`Touched`]); [`Network::resolve`] partitions the flow-carrying links
+//! (`Touched`); [`Network::resolve`] partitions the flow-carrying links
 //! into components and hands the solver one sub-problem per component
 //! that contains a marked link. The flows of every other component keep
 //! their rates, which is exact: a component's rates are a pure function

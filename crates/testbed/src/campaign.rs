@@ -21,7 +21,7 @@ use wanpred_obs::{names, ObsSink, Snapshot};
 use wanpred_predict::{Observation, TournamentOptions};
 use wanpred_replica::coalloc::{CoallocEvent, CoallocRequest, CoallocSource, Coallocator};
 use wanpred_replica::{Broker, NoPerfInfo, PhysicalReplica, SelectionPolicy};
-use wanpred_simnet::engine::{Agent, Ctx, Engine, TimerTag};
+use wanpred_simnet::engine::{Agent, AgentId, Ctx, Engine, TimerTag};
 use wanpred_simnet::fault::{FaultConfig, FaultSchedule};
 use wanpred_simnet::flow::{FlowDone, FlowFailed};
 use wanpred_simnet::rng::MasterSeed;
@@ -170,12 +170,6 @@ impl CampaignBuilder {
         self
     }
 
-    /// Replace the per-pair workload.
-    pub fn workload(mut self, workload: WorkloadConfig) -> Self {
-        self.cfg.workload = workload;
-        self
-    }
-
     /// Enable or disable the NWS probe sensors.
     pub fn probes(mut self, probes: bool) -> Self {
         self.cfg.probes = probes;
@@ -199,11 +193,7 @@ impl CampaignBuilder {
     /// Corrupt-and-salvage the extracted logs at this per-line rate
     /// (see [`CampaignConfig::with_chaos`]).
     pub fn chaos(mut self, rate: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&rate),
-            "chaos rate {rate} not in [0,1]"
-        );
-        self.cfg.chaos = Some(rate);
+        self.cfg = self.cfg.with_chaos(rate);
         self
     }
 
@@ -334,12 +324,21 @@ impl CampaignResult {
     }
 }
 
-/// Serialize a log with integrity trailers, damage it with the seeded
-/// injector, and decode it back through strict salvage.
-fn corrupt_and_salvage(log: &TransferLog, rate: f64, seed: u64) -> (TransferLog, SalvageReport) {
+/// At a chaos rate, serialize a log with integrity trailers, damage it
+/// with the seeded injector, and decode it back through strict salvage;
+/// without one, pass it through.
+fn chaos_pass(
+    log: TransferLog,
+    chaos: Option<f64>,
+    seed: u64,
+) -> (TransferLog, Option<SalvageReport>) {
+    let Some(rate) = chaos else {
+        return (log, None);
+    };
     let doc = log.to_ulm_string_checksummed();
     let (damaged, _chaos) = corrupt_doc(&doc, &ChaosConfig::new(rate, seed));
-    salvage_doc(&damaged, &SalvageOptions::strict())
+    let (log, report) = salvage_doc(&damaged, &SalvageOptions::strict());
+    (log, Some(report))
 }
 
 struct PairRuntime {
@@ -359,7 +358,6 @@ struct CoallocRuntime {
     co: Coallocator,
     broker: Broker<NoPerfInfo>,
     policy: SelectionPolicy,
-    k: usize,
     rng: StdRng,
     client_addr: String,
     /// Server node ↔ hostname mapping (broker speaks hostnames, the
@@ -369,39 +367,49 @@ struct CoallocRuntime {
     summary: CoallocSummary,
 }
 
-/// The campaign driver agent: embeds the transfer manager and one
-/// workload loop per pair (or the single co-allocating loop).
-struct CampaignAgent {
+/// The workload a campaign drives: one GET loop per pair, or the single
+/// co-allocating loop that replaces them (the probes run on both pairs
+/// either way).
+enum Loops {
+    /// Indexed like [`Pair::ALL`]; a loop's index is its timer tag.
+    Pairs([PairRuntime; 2]),
+    Coalloc(Box<CoallocRuntime>),
+}
+
+/// What both kinds of loop share: the embedded transfer manager, the
+/// workload they draw from, and the campaign's failure tallies.
+struct Driver {
     mgr: TransferManager,
     client: NodeId,
     epoch_unix: u64,
     workload: WorkloadConfig,
-    pairs: Vec<PairRuntime>,
-    coalloc: Option<CoallocRuntime>,
     submit_errors: usize,
     retries: usize,
     failed_transfers: usize,
 }
 
-impl CampaignAgent {
-    /// Schedule the pair's next wake-up after `delay`, clamped into the
-    /// experiment window.
-    fn schedule_pair(&self, ctx: &mut Ctx<'_>, idx: usize, delay: SimDuration) {
-        let wake = ctx.now() + delay;
-        let wake = self.workload.next_window_start(wake);
-        let delay = wake.saturating_since(ctx.now());
-        ctx.set_timer(delay, idx as TimerTag);
+/// The campaign driver agent.
+struct CampaignAgent {
+    driver: Driver,
+    loops: Loops,
+}
+
+impl Driver {
+    /// Draw a sleep from the loop's stream and set its next wake-up,
+    /// clamped into the experiment window.
+    fn sleep(&self, ctx: &mut Ctx<'_>, rng: &mut StdRng, tag: TimerTag) {
+        let delay = self.workload.draw_sleep(rng);
+        let wake = self.workload.next_window_start(ctx.now() + delay);
+        ctx.set_timer(wake.saturating_since(ctx.now()), tag);
     }
 
-    fn launch_transfer(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        let (path, _size) = {
-            let p = &mut self.pairs[idx];
-            self.workload.draw_file(&mut p.rng)
-        };
+    fn launch_transfer(&mut self, ctx: &mut Ctx<'_>, pairs: &mut [PairRuntime; 2], idx: usize) {
+        let p = &mut pairs[idx];
+        let (path, _size) = self.workload.draw_file(&mut p.rng);
         let req = TransferRequest {
             client: self.client,
             kind: TransferKind::Get {
-                server: self.pairs[idx].server,
+                server: p.server,
                 path,
             },
             streams: self.workload.streams,
@@ -409,41 +417,29 @@ impl CampaignAgent {
             partial: None,
         };
         match self.mgr.submit(ctx, req) {
-            Ok(token) => self.pairs[idx].outstanding = Some(token),
+            Ok(token) => p.outstanding = Some(token),
             Err(_) => {
                 self.submit_errors += 1;
-                let delay = {
-                    let p = &mut self.pairs[idx];
-                    self.workload.draw_sleep(&mut p.rng)
-                };
-                self.schedule_pair(ctx, idx, delay);
+                self.sleep(ctx, &mut p.rng, idx as TimerTag);
             }
         }
     }
 
-    /// Schedule the co-allocating loop's next wake-up, window-clamped
-    /// like the pair loops.
-    fn schedule_coalloc(&mut self, ctx: &mut Ctx<'_>) {
-        let delay = {
-            let rt = self.coalloc.as_mut().expect("coalloc mode");
-            self.workload.draw_sleep(&mut rt.rng)
-        };
-        let wake = self.workload.next_window_start(ctx.now() + delay);
-        ctx.set_timer(wake.saturating_since(ctx.now()), COALLOC_DRIVER_TAG);
+    /// Free the slot of the pair whose transfer `token` ended, and put
+    /// that pair's loop to sleep.
+    fn pair_done(&self, ctx: &mut Ctx<'_>, pairs: &mut [PairRuntime; 2], token: TransferToken) {
+        if let Some(idx) = pairs.iter().position(|p| p.outstanding == Some(token)) {
+            let p = &mut pairs[idx];
+            p.outstanding = None;
+            self.sleep(ctx, &mut p.rng, idx as TimerTag);
+        }
     }
 
     /// Draw a file, ask the broker for the top-k sources, and start a
     /// co-allocated GET striped across them.
-    fn launch_coalloc(&mut self, ctx: &mut Ctx<'_>) {
+    fn launch_coalloc(&mut self, ctx: &mut Ctx<'_>, rt: &mut CoallocRuntime) {
         let now_unix = self.epoch_unix + ctx.now().as_secs();
-        let (path, size) = {
-            let rt = self.coalloc.as_mut().expect("coalloc mode");
-            self.workload.draw_file(&mut rt.rng)
-        };
-        let client = self.client;
-        let streams = self.workload.streams;
-        let tcp_buffer = self.workload.tcp_buffer;
-        let rt = self.coalloc.as_mut().expect("coalloc mode");
+        let (path, size) = self.workload.draw_file(&mut rt.rng);
         let replicas: Vec<PhysicalReplica> = rt
             .servers
             .iter()
@@ -455,7 +451,13 @@ impl CampaignAgent {
             .collect();
         let top = rt
             .broker
-            .select_top_k(&rt.client_addr, &replicas, &mut rt.policy, rt.k, now_unix)
+            .select_top_k(
+                &rt.client_addr,
+                &replicas,
+                &mut rt.policy,
+                rt.summary.k,
+                now_unix,
+            )
             .expect("both servers are candidates");
         let sources: Vec<CoallocSource> = top
             .ranked
@@ -478,18 +480,18 @@ impl CampaignAgent {
             })
             .collect();
         let req = CoallocRequest {
-            client,
+            client: self.client,
             path,
             sources,
-            k: rt.k,
-            streams,
-            tcp_buffer,
+            k: rt.summary.k,
+            streams: self.workload.streams,
+            tcp_buffer: self.workload.tcp_buffer,
         };
         match rt.co.start(ctx, &mut self.mgr, req) {
             Ok(id) => rt.outstanding = Some(id),
             Err(_) => {
                 self.submit_errors += 1;
-                self.schedule_coalloc(ctx);
+                self.sleep(ctx, &mut rt.rng, COALLOC_DRIVER_TAG);
             }
         }
     }
@@ -497,10 +499,7 @@ impl CampaignAgent {
     /// Drain the co-allocator's notifications: count whole-transfer
     /// failures and rebalances, and free the workload slot when the
     /// outstanding transfer was abandoned.
-    fn drain_coalloc_events(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(rt) = self.coalloc.as_mut() else {
-            return;
-        };
+    fn drain_coalloc_events(&self, ctx: &mut Ctx<'_>, rt: &mut CoallocRuntime) {
         let mut freed = false;
         for ev in rt.co.take_events() {
             match ev {
@@ -518,7 +517,7 @@ impl CampaignAgent {
             }
         }
         if freed {
-            self.schedule_coalloc(ctx);
+            self.sleep(ctx, &mut rt.rng, COALLOC_DRIVER_TAG);
         }
     }
 
@@ -527,7 +526,7 @@ impl CampaignAgent {
     /// loop keeps issuing transfers (a dead pair would silently truncate
     /// the log). In co-allocation mode an abandoned stripe is routed to
     /// the co-allocator instead, which rebalances its remaining bytes.
-    fn drain_transfer_events(&mut self, ctx: &mut Ctx<'_>) {
+    fn drain_transfer_events(&mut self, ctx: &mut Ctx<'_>, loops: &mut Loops) {
         for ev in self.mgr.take_events() {
             match ev {
                 TransferEvent::RetryScheduled { .. } => self.retries += 1,
@@ -537,74 +536,71 @@ impl CampaignAgent {
                     ..
                 } => {
                     self.failed_transfers += 1;
-                    if let Some(rt) = self.coalloc.as_mut() {
-                        if rt
-                            .co
-                            .on_transfer_failed(ctx, &mut self.mgr, token, delivered_bytes)
-                        {
-                            continue;
+                    match loops {
+                        Loops::Pairs(pairs) => self.pair_done(ctx, pairs, token),
+                        Loops::Coalloc(rt) => {
+                            rt.co
+                                .on_transfer_failed(ctx, &mut self.mgr, token, delivered_bytes);
                         }
-                    }
-                    if let Some(idx) = self.pairs.iter().position(|p| p.outstanding == Some(token))
-                    {
-                        self.pairs[idx].outstanding = None;
-                        let delay = {
-                            let p = &mut self.pairs[idx];
-                            self.workload.draw_sleep(&mut p.rng)
-                        };
-                        self.schedule_pair(ctx, idx, delay);
                     }
                 }
             }
         }
-        self.drain_coalloc_events(ctx);
+        if let Loops::Coalloc(rt) = loops {
+            self.drain_coalloc_events(ctx, rt);
+        }
     }
 }
 
 impl Agent for CampaignAgent {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if self.coalloc.is_some() {
-            self.schedule_coalloc(ctx);
-            return;
-        }
-        for idx in 0..self.pairs.len() {
-            let delay = {
-                let p = &mut self.pairs[idx];
-                self.workload.draw_sleep(&mut p.rng)
-            };
-            self.schedule_pair(ctx, idx, delay);
+        let Self { driver: d, loops } = self;
+        match loops {
+            Loops::Pairs(pairs) => {
+                for (idx, p) in pairs.iter_mut().enumerate() {
+                    d.sleep(ctx, &mut p.rng, idx as TimerTag);
+                }
+            }
+            Loops::Coalloc(rt) => d.sleep(ctx, &mut rt.rng, COALLOC_DRIVER_TAG),
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: TimerTag) {
-        if self.mgr.on_timer(ctx, tag) {
-            self.drain_transfer_events(ctx);
+        let Self { driver: d, loops } = self;
+        if d.mgr.on_timer(ctx, tag) {
+            d.drain_transfer_events(ctx, loops);
             return;
         }
-        if let Some(rt) = self.coalloc.as_mut() {
-            if rt.co.on_timer(ctx, &mut self.mgr, tag) {
-                self.drain_coalloc_events(ctx);
-                return;
+        match loops {
+            Loops::Pairs(pairs) => {
+                let idx = tag as usize;
+                if pairs.get(idx).is_some_and(|p| p.outstanding.is_none()) {
+                    d.launch_transfer(ctx, pairs, idx);
+                }
             }
-            if tag == COALLOC_DRIVER_TAG && rt.outstanding.is_none() {
-                self.launch_coalloc(ctx);
+            Loops::Coalloc(rt) => {
+                if rt.co.on_timer(ctx, &mut d.mgr, tag) {
+                    d.drain_coalloc_events(ctx, rt);
+                } else if tag == COALLOC_DRIVER_TAG && rt.outstanding.is_none() {
+                    d.launch_coalloc(ctx, rt);
+                }
             }
-            return;
-        }
-        let idx = tag as usize;
-        if idx < self.pairs.len() && self.pairs[idx].outstanding.is_none() {
-            self.launch_transfer(ctx, idx);
         }
     }
 
     fn on_flow_complete(&mut self, ctx: &mut Ctx<'_>, done: FlowDone) {
-        if let Some(c) = self.mgr.on_flow_complete(ctx, &done) {
-            if let Some(rt) = self.coalloc.as_mut() {
+        let Self { driver: d, loops } = self;
+        let Some(c) = d.mgr.on_flow_complete(ctx, &done) else {
+            return;
+        };
+        match loops {
+            Loops::Pairs(pairs) => d.pair_done(ctx, pairs, c.token),
+            Loops::Coalloc(rt) => {
                 // Every delivered stripe is a real observation on its
                 // (client, server) path: feed the broker's tournament so
                 // later selections learn from this campaign's own data.
                 rt.broker.observe_transfer(
-                    &rt.client_addr.clone(),
+                    &rt.client_addr,
                     &c.record.host,
                     Observation {
                         at_unix: c.record.end_unix,
@@ -630,30 +626,17 @@ impl Agent for CampaignAgent {
                         freed = true;
                     }
                 }
-                self.drain_coalloc_events(ctx);
+                d.drain_coalloc_events(ctx, rt);
                 if freed {
-                    self.schedule_coalloc(ctx);
+                    d.sleep(ctx, &mut rt.rng, COALLOC_DRIVER_TAG);
                 }
-                return;
-            }
-            if let Some(idx) = self
-                .pairs
-                .iter()
-                .position(|p| p.outstanding == Some(c.token))
-            {
-                self.pairs[idx].outstanding = None;
-                let delay = {
-                    let p = &mut self.pairs[idx];
-                    self.workload.draw_sleep(&mut p.rng)
-                };
-                self.schedule_pair(ctx, idx, delay);
             }
         }
     }
 
     fn on_flow_failed(&mut self, ctx: &mut Ctx<'_>, failed: FlowFailed) {
-        self.mgr.on_flow_failed(ctx, &failed);
-        self.drain_transfer_events(ctx);
+        self.driver.mgr.on_flow_failed(ctx, &failed);
+        self.driver.drain_transfer_events(ctx, &mut self.loops);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -664,174 +647,190 @@ impl Agent for CampaignAgent {
     }
 }
 
-/// Run a campaign to completion.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
-    let testbed = build_testbed(cfg.seed, false);
-    let mut mgr = testbed.build_manager(cfg.epoch_unix);
-    mgr.set_obs(cfg.obs.clone());
-    if let Some(policy) = &cfg.retry {
-        mgr.set_retry_policy(policy.clone());
+/// A campaign in progress. [`Campaign::new`] builds the testbed and every
+/// agent, [`Campaign::run_until`] advances the simulation in stages, and
+/// [`Campaign::finish`] runs it out to the horizon and extracts the
+/// result. [`run_campaign`] is the one-shot form; however the horizon is
+/// split into stages, the result and its metric snapshot are the same.
+pub struct Campaign {
+    cfg: CampaignConfig,
+    engine: Engine,
+    agent: AgentId,
+    /// The probe agents, indexed like [`Pair::ALL`]; `None` without probes.
+    probes: Option<[AgentId; 2]>,
+    /// The pairs' server nodes, indexed like [`Pair::ALL`].
+    servers: [NodeId; 2],
+    fault_events: usize,
+    horizon: SimTime,
+}
+
+impl Campaign {
+    /// Build the testbed, the transfer manager, the fault schedule, the
+    /// engine and the agents, and open the campaign span at sim time 0.
+    pub fn new(cfg: &CampaignConfig) -> Self {
+        let testbed = build_testbed(cfg.seed, false);
+        let mut mgr = testbed.build_manager(cfg.epoch_unix);
+        mgr.set_obs(cfg.obs.clone());
+        if let Some(policy) = &cfg.retry {
+            mgr.set_retry_policy(policy.clone());
+        }
+        let Testbed {
+            network,
+            anl,
+            lbl,
+            isi,
+            sites,
+            ..
+        } = testbed;
+        let servers = [lbl, isi];
+
+        // The schedule is a pure function of (faults, topology, seed,
+        // duration): materialize it before the network moves into the engine.
+        let schedule =
+            FaultSchedule::generate(&cfg.faults, network.topology(), cfg.seed, cfg.duration);
+
+        let [anl_site, lbl_site, isi_site] = &sites;
+        let loops = match cfg.coalloc {
+            Some(k) => {
+                let mut broker = Broker::new(NoPerfInfo)
+                    .with_tournament(TournamentOptions::default())
+                    .with_static_kbs(lbl_site.host.clone(), 5_000.0)
+                    .with_static_kbs(isi_site.host.clone(), 5_000.0);
+                broker.set_obs(cfg.obs.clone());
+                let mut co = Coallocator::new();
+                co.set_obs(cfg.obs.clone());
+                Loops::Coalloc(Box::new(CoallocRuntime {
+                    co,
+                    broker,
+                    policy: SelectionPolicy::predicted_bandwidth(),
+                    rng: cfg.seed.derive("workload.coalloc"),
+                    client_addr: anl_site.address.clone(),
+                    servers: vec![(lbl, lbl_site.host.clone()), (isi, isi_site.host.clone())],
+                    outstanding: None,
+                    summary: CoallocSummary {
+                        k: k.max(1),
+                        ..CoallocSummary::default()
+                    },
+                }))
+            }
+            None => Loops::Pairs([(lbl, "workload.lbl-anl"), (isi, "workload.isi-anl")].map(
+                |(server, seed)| PairRuntime {
+                    server,
+                    rng: cfg.seed.derive(seed),
+                    outstanding: None,
+                },
+            )),
+        };
+
+        let mut engine = Engine::new(network);
+        engine.set_obs(cfg.obs.clone());
+        engine.inject_faults(&schedule);
+        let agent = engine.add_agent(Box::new(CampaignAgent {
+            driver: Driver {
+                mgr,
+                client: anl,
+                epoch_unix: cfg.epoch_unix,
+                workload: cfg.workload.clone(),
+                submit_errors: 0,
+                retries: 0,
+                failed_transfers: 0,
+            },
+            loops,
+        }));
+        let probes = cfg.probes.then(|| {
+            servers.map(|server| engine.add_agent(Box::new(ProbeAgent::new(server, anl))))
+        });
+
+        // The campaign span brackets the whole simulated horizon; transfer
+        // and engine spans emitted during the run nest inside it.
+        cfg.obs.span_enter(names::CAMPAIGN_RUN, 0);
+        Campaign {
+            cfg: cfg.clone(),
+            engine,
+            agent,
+            probes,
+            servers,
+            fault_events: schedule.len(),
+            horizon: SimTime::ZERO + cfg.duration,
+        }
     }
-    let Testbed {
-        network,
-        anl,
-        lbl,
-        isi,
-        sites,
-        ..
-    } = testbed;
-    let server_of = |pair: Pair| match pair {
-        Pair::LblAnl => lbl,
-        Pair::IsiAnl => isi,
-    };
-    let seed_name_of = |pair: Pair| match pair {
-        Pair::LblAnl => "workload.lbl-anl",
-        Pair::IsiAnl => "workload.isi-anl",
-    };
 
-    // The schedule is a pure function of (faults, topology, seed,
-    // duration): materialize it before the network moves into the engine.
-    let schedule = FaultSchedule::generate(&cfg.faults, network.topology(), cfg.seed, cfg.duration);
-    let fault_events = schedule.len();
+    /// Advance the simulation to `min(t, horizon)`, events at that
+    /// instant included. A `t` the campaign has already reached
+    /// processes nothing.
+    pub fn run_until(&mut self, t: SimTime) {
+        self.engine.run_until(t.min(self.horizon));
+    }
 
-    // In co-allocation mode the single coalloc loop replaces the
-    // per-pair loops (the probes still run on both pairs).
-    let [anl_site, lbl_site, isi_site] = &sites;
-    let coalloc_rt = cfg.coalloc.map(|k| {
-        let mut broker = Broker::new(NoPerfInfo)
-            .with_tournament(TournamentOptions::default())
-            .with_static_kbs(lbl_site.host.clone(), 5_000.0)
-            .with_static_kbs(isi_site.host.clone(), 5_000.0);
-        broker.set_obs(cfg.obs.clone());
-        let mut co = Coallocator::new();
-        co.set_obs(cfg.obs.clone());
-        CoallocRuntime {
-            co,
-            broker,
-            policy: SelectionPolicy::predicted_bandwidth(),
-            k: k.max(1),
-            rng: cfg.seed.derive("workload.coalloc"),
-            client_addr: anl_site.address.clone(),
-            servers: vec![(lbl, lbl_site.host.clone()), (isi, isi_site.host.clone())],
-            outstanding: None,
-            summary: CoallocSummary {
-                k: k.max(1),
-                ..CoallocSummary::default()
+    /// Run to the horizon, close the campaign span, and extract the probe
+    /// series, the server logs (through chaos salvage when
+    /// [`CampaignConfig::chaos`] is set), the counters and the snapshot.
+    pub fn finish(mut self) -> CampaignResult {
+        self.run_until(self.horizon);
+        let (cfg, obs) = (&self.cfg, &self.cfg.obs);
+        obs.span_exit(names::CAMPAIGN_RUN, cfg.duration.as_micros());
+
+        let agent = self
+            .engine
+            .agent::<CampaignAgent>(self.agent)
+            .expect("campaign agent");
+        let d = &agent.driver;
+        let [(lbl_log, lbl_salvage, lbl_probes), (isi_log, isi_salvage, isi_probes)] = Pair::ALL
+            .map(|pair| {
+                let i = pair as usize;
+                let log = d.mgr.server_log(self.servers[i]).cloned();
+                // Damage is decorrelated per pair but still a pure function of
+                // the campaign seed, so chaotic campaigns replay byte for byte.
+                let seed = cfg.seed.derive_seed(["chaos.lbl", "chaos.isi"][i]);
+                let (log, salvage) = chaos_pass(log.unwrap_or_default(), cfg.chaos, seed);
+                let probes = self.probes.map(|ids| {
+                    self.engine
+                        .agent::<ProbeAgent>(ids[i])
+                        .expect("probe agent")
+                        .measurements()
+                        .to_vec()
+                });
+                (log, salvage, probes.unwrap_or_default())
+            });
+        if obs.is_enabled() {
+            obs.inc_by(
+                names::CAMPAIGN_TRANSFERS,
+                (lbl_log.len() + isi_log.len()) as u64,
+            );
+            obs.gauge(names::CAMPAIGN_FAULT_EVENTS, self.fault_events as f64);
+            for report in [&lbl_salvage, &isi_salvage].into_iter().flatten() {
+                obs.inc_by(names::CAMPAIGN_SALVAGE_KEPT, report.kept as u64);
+                obs.inc_by(
+                    names::CAMPAIGN_SALVAGE_QUARANTINED,
+                    report.quarantined.len() as u64,
+                );
+            }
+        }
+        let metrics = obs.is_enabled().then(|| obs.snapshot());
+        CampaignResult {
+            epoch_unix: cfg.epoch_unix,
+            lbl_log,
+            isi_log,
+            lbl_probes,
+            isi_probes,
+            submit_errors: d.submit_errors,
+            fault_events: self.fault_events,
+            retries: d.retries,
+            failed_transfers: d.failed_transfers,
+            lbl_salvage,
+            isi_salvage,
+            metrics,
+            coalloc: match &agent.loops {
+                Loops::Coalloc(rt) => Some(rt.summary.clone()),
+                Loops::Pairs(_) => None,
             },
         }
-    });
-    let pair_runtimes = if cfg.coalloc.is_some() {
-        Vec::new()
-    } else {
-        Pair::ALL
-            .into_iter()
-            .map(|pair| PairRuntime {
-                server: server_of(pair),
-                rng: cfg.seed.derive(seed_name_of(pair)),
-                outstanding: None,
-            })
-            .collect()
-    };
-
-    let mut engine = Engine::new(network);
-    engine.set_obs(cfg.obs.clone());
-    engine.inject_faults(&schedule);
-    let agent_id = engine.add_agent(Box::new(CampaignAgent {
-        mgr,
-        client: anl,
-        epoch_unix: cfg.epoch_unix,
-        workload: cfg.workload.clone(),
-        pairs: pair_runtimes,
-        coalloc: coalloc_rt,
-        submit_errors: 0,
-        retries: 0,
-        failed_transfers: 0,
-    }));
-
-    let probe_ids: Vec<(Pair, _)> = if cfg.probes {
-        Pair::ALL
-            .into_iter()
-            .map(|pair| {
-                (
-                    pair,
-                    engine.add_agent(Box::new(ProbeAgent::new(server_of(pair), anl))),
-                )
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    // The campaign span brackets the whole simulated horizon; transfer
-    // and engine spans emitted during the run nest inside it.
-    cfg.obs.span_enter(names::CAMPAIGN_RUN, 0);
-    engine.run_until(SimTime::ZERO + cfg.duration);
-    cfg.obs
-        .span_exit(names::CAMPAIGN_RUN, cfg.duration.as_micros());
-
-    let probes_of = |want: Pair| -> Vec<ProbeMeasurement> {
-        probe_ids
-            .iter()
-            .find(|&&(pair, _)| pair == want)
-            .map(|&(_, id)| {
-                engine
-                    .agent::<ProbeAgent>(id)
-                    .expect("probe agent")
-                    .measurements()
-                    .to_vec()
-            })
-            .unwrap_or_default()
-    };
-    let (lbl_probes, isi_probes) = (probes_of(Pair::LblAnl), probes_of(Pair::IsiAnl));
-
-    let agent = engine
-        .agent::<CampaignAgent>(agent_id)
-        .expect("campaign agent");
-    let mut lbl_log = agent.mgr.server_log(lbl).cloned().unwrap_or_default();
-    let mut isi_log = agent.mgr.server_log(isi).cloned().unwrap_or_default();
-    let (mut lbl_salvage, mut isi_salvage) = (None, None);
-    if let Some(rate) = cfg.chaos {
-        // Damage is decorrelated per pair but still a pure function of the
-        // campaign seed, so chaotic campaigns replay byte for byte.
-        let (log, report) = corrupt_and_salvage(&lbl_log, rate, cfg.seed.derive_seed("chaos.lbl"));
-        lbl_log = log;
-        lbl_salvage = Some(report);
-        let (log, report) = corrupt_and_salvage(&isi_log, rate, cfg.seed.derive_seed("chaos.isi"));
-        isi_log = log;
-        isi_salvage = Some(report);
     }
-    if cfg.obs.is_enabled() {
-        cfg.obs.inc_by(
-            names::CAMPAIGN_TRANSFERS,
-            (lbl_log.len() + isi_log.len()) as u64,
-        );
-        cfg.obs
-            .gauge(names::CAMPAIGN_FAULT_EVENTS, fault_events as f64);
-        for report in [&lbl_salvage, &isi_salvage].into_iter().flatten() {
-            cfg.obs
-                .inc_by(names::CAMPAIGN_SALVAGE_KEPT, report.kept as u64);
-            cfg.obs.inc_by(
-                names::CAMPAIGN_SALVAGE_QUARANTINED,
-                report.quarantined.len() as u64,
-            );
-        }
-    }
-    let metrics = cfg.obs.is_enabled().then(|| cfg.obs.snapshot());
-    CampaignResult {
-        epoch_unix: cfg.epoch_unix,
-        lbl_log,
-        isi_log,
-        lbl_probes,
-        isi_probes,
-        submit_errors: agent.submit_errors,
-        fault_events,
-        retries: agent.retries,
-        failed_transfers: agent.failed_transfers,
-        lbl_salvage,
-        isi_salvage,
-        metrics,
-        coalloc: agent.coalloc.as_ref().map(|rt| rt.summary.clone()),
-    }
+}
+
+/// Run a campaign to completion: the one-shot form of [`Campaign`].
+pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
+    Campaign::new(cfg).finish()
 }
 
 #[cfg(test)]

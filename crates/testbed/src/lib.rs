@@ -21,7 +21,7 @@ pub mod sites;
 pub mod workload;
 
 pub use campaign::{
-    run_campaign, CampaignBuilder, CampaignConfig, CampaignResult, CoallocSummary, Pair,
+    run_campaign, Campaign, CampaignBuilder, CampaignConfig, CampaignResult, CoallocSummary, Pair,
 };
 pub use figures::{
     fig01_02, fig07, fig08_11, fig12_13, fig14_21, observation_series, summary, ErrorCell,

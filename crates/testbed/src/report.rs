@@ -1,4 +1,4 @@
-//! Plain-text table rendering and CSV export for the figure binaries.
+//! Plain-text table rendering for the figure binaries.
 
 use std::fmt::Write as _;
 
@@ -31,11 +31,6 @@ impl Table {
         r.resize(self.headers.len().max(r.len()), String::new());
         self.rows.push(r);
         self
-    }
-
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
     }
 
     /// Render as aligned text.
@@ -83,37 +78,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV (RFC-4180-ish quoting).
-    pub fn to_csv(&self) -> String {
-        fn field(s: &str) -> String {
-            if s.contains([',', '"', '\n']) {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        if !self.headers.is_empty() {
-            let _ = writeln!(
-                out,
-                "{}",
-                self.headers
-                    .iter()
-                    .map(|h| field(h))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-        }
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                r.iter().map(|c| field(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
 }
 
 /// Format an optional MAPE as the figures print it.
@@ -153,21 +117,13 @@ mod tests {
     }
 
     #[test]
-    fn csv_quotes_when_needed() {
-        let mut t = Table::new("").headers(["a", "b"]);
-        t.row(["x,y", "he said \"hi\""]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"he said \"\"hi\"\"\""));
-    }
-
-    #[test]
     fn short_rows_padded() {
         let mut t = Table::new("").headers(["a", "b", "c"]);
         t.row(["only"]);
         let s = t.render();
         assert!(s.contains("only"));
-        assert_eq!(t.row_count(), 1);
+        // Header, separator, the one row.
+        assert_eq!(s.lines().count(), 3);
     }
 
     #[test]

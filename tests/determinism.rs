@@ -131,6 +131,69 @@ fn coalloc_faulty_campaigns_replay_byte_identically() {
     assert_eq!(ja.into_bytes(), jb.into_bytes());
 }
 
+/// The four campaign shapes the staged pin covers, each on a fresh
+/// enabled sink: clean with probes, faulty with retry, chaos at 5 %, and
+/// faulty co-allocation at k = 2.
+fn staged_pin_config(shape: usize, sink: ObsSink) -> CampaignConfig {
+    use wanpred_core::gridftp::RetryPolicy;
+    use wanpred_core::simnet::fault::FaultConfig;
+
+    let b = CampaignConfig::builder(17).duration_days(2).obs(sink);
+    match shape {
+        0 => b,
+        1 => b
+            .faults(FaultConfig::wan_default())
+            .retry(RetryPolicy::wan_default()),
+        2 => b.chaos(0.05),
+        _ => b.faults(FaultConfig::wan_default()).coalloc(2),
+    }
+    .build()
+}
+
+/// `(CampaignResult JSON, snapshot JSON)` of a campaign of `shape`:
+/// one-shot through `run_campaign` when `stages` is `None`, otherwise
+/// `run_until` at each horizon in turn, then `finish`.
+fn staged_pin_bytes(shape: usize, stages: Option<&[u64]>) -> (String, String) {
+    let sink = ObsSink::enabled();
+    let cfg = staged_pin_config(shape, sink.clone());
+    let result = match stages {
+        None => run_campaign(&cfg),
+        Some(stages) => {
+            let mut campaign = Campaign::new(&cfg);
+            for &t in stages {
+                campaign.run_until(SimTime::from_micros(t));
+            }
+            campaign.finish()
+        }
+    };
+    (
+        serde_json::to_string(&result).expect("serialize campaign result"),
+        serde_json::to_string(&sink.snapshot()).expect("serialize snapshot"),
+    )
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(16))]
+
+    /// Stopping and resuming a campaign is invisible: for the pair loops
+    /// and the co-allocating loop alike, any sequence of up to five
+    /// stage horizons in `[0, duration + 1 day]` (unsorted, repeats and
+    /// overshoot allowed) serialises to the bytes `run_campaign` gives,
+    /// metric snapshot included.
+    #[test]
+    fn staged_pair_and_coalloc_campaigns_match_one_shot(
+        stages in proptest::collection::vec(0..=SimDuration::from_days(3).as_micros(), 0..=5)
+    ) {
+        static ONE_SHOT: std::sync::OnceLock<Vec<(String, String)>> = std::sync::OnceLock::new();
+        let one_shot = ONE_SHOT.get_or_init(|| (0..4).map(|shape| staged_pin_bytes(shape, None)).collect());
+        for (shape, want) in one_shot.iter().enumerate() {
+            let got = staged_pin_bytes(shape, Some(&stages));
+            assert!(got.0 == want.0, "shape {shape}: result differs after stages {stages:?}");
+            assert!(got.1 == want.1, "shape {shape}: snapshot differs after stages {stages:?}");
+        }
+    }
+}
+
 #[test]
 fn different_seeds_different_histories() {
     let a = run(1, 2);

@@ -266,3 +266,61 @@ fn cache_and_shard_provenance_is_reported() {
     assert_eq!(again.provenance.cache, CacheStatus::Hit);
     assert_eq!(again.entries.len(), first.entries.len());
 }
+
+/// Erlang's blocking probability P_K of an M/M/c/K queue offered `a`
+/// erlangs: the stationary chance that an arrival finds all `k` places
+/// (`c` in service, `k - c` waiting) taken.
+fn erlang_blocking(c: usize, k: usize, a: f64) -> f64 {
+    // Unnormalised p_n = p_{n-1} · a / min(n, c), from p_0 = 1.
+    let mut p = vec![1.0f64];
+    for n in 1..=k {
+        p.push(p[n - 1] * a / n.min(c) as f64);
+    }
+    p[k] / p.iter().sum::<f64>()
+}
+
+#[test]
+fn admission_queue_sheds_at_erlangs_blocking_probability() {
+    // The virtual queue is M/M/c/K with K = servers + max_queue: Poisson
+    // arrivals, exponential 500 µs service, no coalescing. Two points,
+    // eight seeds each, at least 50 000 arrivals per seed: M/M/4/68
+    // overloaded at ρ = 1.25 (P_K = 0.200) and M/M/1/5 at ρ = 0.9
+    // (P_K = 0.126).
+    // The oracle agrees with M/M/1/K's closed form (1-ρ)ρ^K / (1-ρ^(K+1)).
+    let closed = 0.1 * 0.9f64.powi(5) / (1.0 - 0.9f64.powi(6));
+    assert!((erlang_blocking(1, 5, 0.9) - closed).abs() < 1e-12);
+    for (servers, max_queue, rate, secs) in [(4, 64, 10_000.0, 6), (1, 4, 1_800.0, 30)] {
+        let p_k = erlang_blocking(servers, servers + max_queue, rate * 500e-6);
+        let mut shed: Vec<f64> = (0..8u64)
+            .map(|seed| {
+                let server = ShardedServer::new(ServeConfig {
+                    admission: Some(AdmissionConfig {
+                        servers,
+                        mean_service_us: 500,
+                        max_queue,
+                        coalesce: false,
+                        seed,
+                    }),
+                    ..ServeConfig::default()
+                });
+                let cfg = OpenLoopConfig {
+                    seed,
+                    rate_per_sec: rate,
+                    duration_secs: secs,
+                    start_unix: 1_000_000,
+                    filters: vec!["(objectclass=*)".into()],
+                };
+                let r = run_open_loop(&server, &cfg, |_| {});
+                assert!(r.offered >= 50_000, "seed {seed}: {} arrivals", r.offered);
+                r.shed as f64 / r.offered as f64
+            })
+            .collect();
+        shed.sort_by(f64::total_cmp);
+        let median = (shed[3] + shed[4]) / 2.0;
+        assert!(
+            (median - p_k).abs() < 0.015,
+            "M/M/{servers}/{}: median shed {median:.4} vs P_K {p_k:.4} (seeds {shed:.4?})",
+            servers + max_queue
+        );
+    }
+}
