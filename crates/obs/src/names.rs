@@ -16,7 +16,8 @@
 pub const SIMNET_ENGINE_EVENTS: &str = "simnet.engine.events";
 /// Timer events delivered to agents.
 pub const SIMNET_ENGINE_TIMERS: &str = "simnet.engine.timers";
-/// Background-load ticks applied to links.
+/// Background-load ticks applied while a foreground flow is active (the
+/// engine queues no tick while none is).
 pub const SIMNET_ENGINE_LOAD_TICKS: &str = "simnet.engine.load_ticks";
 /// Scheduled fault events applied to the network.
 pub const SIMNET_ENGINE_FAULTS: &str = "simnet.engine.faults";

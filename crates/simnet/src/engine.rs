@@ -12,6 +12,11 @@
 //! all randomness is owned by the agents/models themselves, and the fluid
 //! network integrates exactly between events, so a run is a pure function
 //! of `(topology, load configs, agents, seed)`.
+//!
+//! Idle simulated time costs nothing: the load tick is queued only while
+//! some flow is active (a tick that finds none is dropped, and the next
+//! flow start queues one at the next grid instant), and an injected fault
+//! schedule is fed to the queue one action at a time.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -19,7 +24,7 @@ use std::collections::BinaryHeap;
 
 use wanpred_obs::{names, ObsSink};
 
-use crate::fault::{FaultAction, FaultSchedule};
+use crate::fault::{FaultAction, FaultSchedule, TimedFault};
 use crate::flow::{FlowDone, FlowFailed, FlowId, FlowSpec};
 use crate::index::VecMap;
 use crate::network::Network;
@@ -60,17 +65,21 @@ pub trait Agent {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum EventKind {
     LoadTick,
-    Timer { agent: AgentId, tag: TimerTag },
-    Ramp { flow: FlowId },
-    Fault(FaultAction),
+    Timer {
+        agent: AgentId,
+        tag: TimerTag,
+    },
+    Ramp {
+        flow: FlowId,
+    },
+    /// The next action of injected schedule `schedule`.
+    Fault {
+        schedule: usize,
+    },
 }
-
-// Degradation factors are finite by construction (drawn from a bounded
-// range), so the reflexive-equality marker is sound despite the f64.
-impl Eq for EventKind {}
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Event {
@@ -99,6 +108,7 @@ pub struct Ctx<'a> {
     queue: &'a mut BinaryHeap<Reverse<Event>>,
     seq: &'a mut u64,
     flow_owner: &'a mut VecMap<FlowId, AgentId>,
+    tick_armed: &'a mut bool,
 }
 
 impl Ctx<'_> {
@@ -112,7 +122,7 @@ impl Ctx<'_> {
         self.agent
     }
 
-    /// Read access to the network (topology, link weights).
+    /// Read access to the network (topology, flows).
     pub fn network(&self) -> &Network {
         self.network
     }
@@ -131,10 +141,20 @@ impl Ctx<'_> {
     }
 
     /// Start a flow owned by this agent; slow-start window-ramp events are
-    /// scheduled automatically, one per RTT, until the window saturates.
+    /// scheduled automatically, one per RTT, until the window saturates,
+    /// and the load tick is queued at the next grid instant if none is.
     /// Completion is delivered to [`Agent::on_flow_complete`].
     pub fn start_flow(&mut self, spec: FlowSpec) -> Result<FlowId, TopologyError> {
         let id = self.network.start_flow(spec, self.now)?;
+        if !*self.tick_armed {
+            *self.tick_armed = true;
+            let ev = Event {
+                at: self.network.next_load_tick(self.now),
+                seq: bump(self.seq),
+                kind: EventKind::LoadTick,
+            };
+            self.queue.push(Reverse(ev));
+        }
         let flow = self.network.flow(id).expect("just started");
         let rtt = flow.rtt;
         let steps = flow.ramp_steps();
@@ -206,12 +226,38 @@ impl RunTally {
     }
 }
 
+/// An injected fault schedule and how far the queue has been fed from it:
+/// action `k` carries sequence number `first_seq + k`, assigned at
+/// injection, so the queue orders it as if every action had been pushed
+/// then.
+struct FaultCursor {
+    events: Vec<TimedFault>,
+    first_seq: u64,
+    next: usize,
+}
+
+impl FaultCursor {
+    /// The next action of schedule number `schedule` as a queue event.
+    fn next_event(&self, schedule: usize) -> Option<Event> {
+        let fault = self.events.get(self.next)?;
+        Some(Event {
+            at: fault.at,
+            seq: self.first_seq + self.next as u64,
+            kind: EventKind::Fault { schedule },
+        })
+    }
+}
+
 /// The simulation engine.
 pub struct Engine {
     time: SimTime,
     network: Network,
     queue: BinaryHeap<Reverse<Event>>,
     seq: u64,
+    /// A load tick is queued: some flow started since the last tick that
+    /// found none active.
+    tick_armed: bool,
+    faults: Vec<FaultCursor>,
     agents: Vec<Option<Box<dyn Agent>>>,
     /// Flow ids are handed out monotonically, so admission appends.
     flow_owner: VecMap<FlowId, AgentId>,
@@ -221,21 +267,16 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Create an engine over a network. The first background-load tick is
-    /// scheduled immediately.
+    /// Create an engine over a network. No background-load tick is queued
+    /// until the first flow starts.
     pub fn new(network: Network) -> Self {
-        let mut queue = BinaryHeap::new();
-        let tick = network.load_tick();
-        queue.push(Reverse(Event {
-            at: SimTime::ZERO + tick,
-            seq: 0,
-            kind: EventKind::LoadTick,
-        }));
         Engine {
             time: SimTime::ZERO,
             network,
-            queue,
-            seq: 1,
+            queue: BinaryHeap::new(),
+            seq: 0,
+            tick_armed: false,
+            faults: Vec::new(),
             agents: Vec::new(),
             flow_owner: VecMap::new(),
             started: false,
@@ -265,14 +306,16 @@ impl Engine {
     /// called multiple times; schedules accumulate. Must be called
     /// before the events' times are reached to take effect.
     pub fn inject_faults(&mut self, schedule: &FaultSchedule) {
-        for ev in schedule.events() {
-            let e = Event {
-                at: ev.at,
-                seq: bump(&mut self.seq),
-                kind: EventKind::Fault(ev.action),
-            };
-            self.queue.push(Reverse(e));
+        let cursor = FaultCursor {
+            events: schedule.events().to_vec(),
+            first_seq: self.seq,
+            next: 0,
+        };
+        self.seq += cursor.events.len() as u64;
+        if let Some(ev) = cursor.next_event(self.faults.len()) {
+            self.queue.push(Reverse(ev));
         }
+        self.faults.push(cursor);
     }
 
     /// Current simulation time.
@@ -368,12 +411,14 @@ impl Engine {
                 self.events_processed += 1;
                 tally.events += 1;
                 match ev.kind {
+                    EventKind::LoadTick if self.network.active_flows() == 0 => {
+                        self.tick_armed = false;
+                    }
                     EventKind::LoadTick => {
                         tally.load_ticks += 1;
                         self.network.load_tick_to(ev.at);
-                        let tick = self.network.load_tick();
                         self.queue.push(Reverse(Event {
-                            at: ev.at + tick,
+                            at: self.network.next_load_tick(ev.at),
                             seq: bump(&mut self.seq),
                             kind: EventKind::LoadTick,
                         }));
@@ -385,8 +430,14 @@ impl Engine {
                         tally.timers += 1;
                         self.dispatch(agent, Dispatch::Timer(tag));
                     }
-                    EventKind::Fault(action) => {
+                    EventKind::Fault { schedule } => {
                         tally.faults += 1;
+                        let cursor = &mut self.faults[schedule];
+                        let action = cursor.events[cursor.next].action;
+                        cursor.next += 1;
+                        if let Some(next) = cursor.next_event(schedule) {
+                            self.queue.push(Reverse(next));
+                        }
                         self.apply_fault(action, ev.at);
                     }
                 }
@@ -436,6 +487,7 @@ impl Engine {
                 queue: &mut self.queue,
                 seq: &mut self.seq,
                 flow_owner: &mut self.flow_owner,
+                tick_armed: &mut self.tick_armed,
             };
             match what {
                 Dispatch::Start => agent.on_start(&mut ctx),
@@ -516,44 +568,85 @@ mod tests {
         }
     }
 
-    #[test]
-    fn one_shot_transfer_completes_with_slow_start() {
+    /// When a one-stream flow alone on a quiet link of `capacity`
+    /// finishes, in closed form: each slow-start round's rate is
+    /// [`crate::fair::lone_flow_rate`] of its window-limited cap (the queue
+    /// factor is 1 with no load), and the bytes drain linearly between the
+    /// instants the engine integrates at — the window doublings at
+    /// `start + k·rtt` and the load ticks on the grid.
+    fn lone_flow_finish(
+        start: SimTime,
+        bytes: u64,
+        tcp: TcpParams,
+        capacity: f64,
+        rtt: SimDuration,
+        grid: SimDuration,
+    ) -> SimTime {
+        let mut window = tcp.init_window.min(tcp.buffer_bytes).max(tcp.mss);
+        let mut remaining = bytes as f64;
+        let (mut at, mut doublings) = (start, 0);
+        loop {
+            let cap = window as f64 / rtt.as_secs_f64();
+            let rate = crate::fair::lone_flow_rate(1.0, cap, std::iter::once((capacity, 0.0)));
+            let eta = at + SimDuration::from_secs_f64(remaining / rate);
+            let g = grid.as_micros();
+            let tick = SimTime::from_micros((at.as_micros() / g + 1) * g);
+            let ramp = (window < tcp.buffer_bytes).then(|| start + rtt * (doublings + 1));
+            let next = ramp.map_or(tick, |r| r.min(tick));
+            // Events at an instant come before a completion at it.
+            if eta < next {
+                return eta;
+            }
+            remaining = (remaining - rate * (next - at).as_secs_f64()).max(0.0);
+            at = next;
+            if ramp == Some(next) {
+                window = (window * 2).min(tcp.buffer_bytes);
+                doublings += 1;
+            }
+        }
+    }
+
+    /// Run [`OneShot`] with `bytes` over an untuned window (16 KB buffer,
+    /// 50 ms RTT) on a 100 MB/s quiet link; its completion, and the
+    /// closed form's.
+    fn one_shot_against_closed_form(bytes: u64) -> (FlowDone, SimTime) {
         let (network, a, b) = net(1e8);
+        let rtt = network.topology().rtt(a, b).unwrap();
+        let grid = network.load_tick();
         let mut eng = Engine::new(network);
-        let tcp = TcpParams::untuned(); // 16 KB buffer, 50 ms RTT
+        let tcp = TcpParams::untuned();
         let id = eng.add_agent(Box::new(OneShot {
             from: a,
             to: b,
-            bytes: 64 * 1024,
+            bytes,
             tcp,
             done: None,
         }));
-        eng.run_until(SimTime::from_secs(120));
-        let agent = eng.agent::<OneShot>(id).unwrap();
-        let done = agent.done.as_ref().expect("transfer finished");
-        assert_eq!(done.bytes, 64 * 1024);
-        let secs = done.finished.saturating_since(done.started).as_secs_f64();
-        // Slow start: 2.9k@58KB/s for 50ms... roughly 5-7 RTTs; the exact
-        // fluid number: windows 2920,5840,11680,16384 bytes per RTT period.
-        assert!(secs > 0.15 && secs < 0.6, "took {secs}s");
+        eng.run_until(SimTime::from_secs(600));
+        let done = eng.agent::<OneShot>(id).unwrap().done.clone().unwrap();
+        assert_eq!(done.bytes, bytes);
+        let want = lone_flow_finish(done.started, bytes, tcp, 1e8, rtt, grid);
+        (done, want)
+    }
+
+    #[test]
+    fn one_shot_transfer_completes_with_slow_start() {
+        // Windows of 2 920, 5 840 and 11 680 bytes, then 16 384 per RTT:
+        // the transfer ends in its sixth round trip, before any load tick.
+        let (done, want) = one_shot_against_closed_form(64 * 1024);
+        assert_eq!(done.finished, want);
+        let rounds = done.finished.saturating_since(done.started).as_secs_f64() / 0.05;
+        assert!(rounds > 5.0 && rounds < 6.0, "took {rounds} RTTs");
         // Mean rate well under the fully ramped 320 KB/s ceiling.
         assert!(done.mean_rate < 320_000.0, "rate {}", done.mean_rate);
     }
 
     #[test]
     fn large_transfer_approaches_window_ceiling() {
-        let (network, a, b) = net(1e8);
-        let mut eng = Engine::new(network);
-        let id = eng.add_agent(Box::new(OneShot {
-            from: a,
-            to: b,
-            bytes: 32 * 1024 * 1024,
-            tcp: TcpParams::untuned(),
-            done: None,
-        }));
-        eng.run_until(SimTime::from_secs(600));
-        let done = eng.agent::<OneShot>(id).unwrap().done.clone().unwrap();
-        // 32 MB at ~320 KB/s is ~105 s; slow start adds little.
+        // 32 MB at ~320 KB/s is ~105 s, drained in two pieces either side
+        // of the load tick at 60 s; slow start adds little.
+        let (done, want) = one_shot_against_closed_form(32 * 1024 * 1024);
+        assert_eq!(done.finished, want);
         assert!(
             (done.mean_rate - 320_000.0).abs() < 15_000.0,
             "rate {}",
@@ -724,6 +817,37 @@ mod tests {
         assert!((failed.delivered_fraction - 0.25).abs() < 1e-6);
         assert_eq!(failed.failed, SimTime::from_secs_f64(0.25));
         assert_eq!(eng.network().active_flows(), 0);
+    }
+
+    #[test]
+    fn fault_schedules_apply_in_time_then_injection_order() {
+        use crate::fault::{FaultAction, FaultSchedule, TimedFault};
+        let (network, a, b) = net(1e6);
+        let l = network.topology().route(a, b).unwrap().links[0];
+        let mut eng = Engine::new(network);
+        let at = |secs, action| TimedFault {
+            at: SimTime::from_secs(secs),
+            action,
+        };
+        // Two schedules whose times interleave; at 10 s both degrade the
+        // link, and the later injection's action is applied last.
+        eng.inject_faults(&FaultSchedule::from_events(vec![
+            at(10, FaultAction::DegradeStart(l, 0.5)),
+            at(30, FaultAction::DegradeEnd(l)),
+            at(50, FaultAction::LinkDown(l)),
+            at(60, FaultAction::LinkUp(l)),
+        ]));
+        eng.inject_faults(&FaultSchedule::from_events(vec![
+            at(10, FaultAction::DegradeStart(l, 0.25)),
+            at(35, FaultAction::DegradeStart(l, 0.75)),
+            at(40, FaultAction::DegradeEnd(l)),
+        ]));
+        let mut factors = Vec::new();
+        for secs in [5, 10, 25, 32, 37, 45, 55, 65] {
+            eng.run_until(SimTime::from_secs(secs));
+            factors.push(eng.network().link_capacity_factor(l));
+        }
+        assert_eq!(factors, [1.0, 0.25, 0.25, 1.0, 0.75, 1.0, 0.0, 1.0]);
     }
 
     #[test]

@@ -251,6 +251,57 @@ impl Solver {
     }
 }
 
+/// The rate [`Solver`] gives a flow that is alone on its links but for
+/// their background pseudo-flows: weight `weight`, cap `cap`, crossing
+/// each link of `links` — `(capacity, background weight)` pairs — once,
+/// each background pushed after the flow, and only when its weight
+/// exceeds `1e-9`. The solver's first round always freezes such a flow,
+/// at its cap or on the first link to saturate, so its rate is that
+/// round's arithmetic, in the same operation order:
+///
+/// - `aw_l = (0.0 + weight) + W_l`, the link's active weight;
+/// - `t = min(min_l (0.0 + (C_l - aw_l * 0.0).max(0.0) / aw_l), cap / weight)`;
+/// - `0` for a zero cap, `cap` when `cap / weight <= t + 1e-12`, and
+///   `min(weight * t, cap)` otherwise.
+///
+/// The same asserts as [`Solver`] hold for the inputs.
+pub(crate) fn lone_flow_rate(
+    weight: f64,
+    cap: f64,
+    links: impl Iterator<Item = (f64, f64)>,
+) -> f64 {
+    assert!(weight > 0.0 && weight.is_finite(), "bad weight");
+    assert!(cap >= 0.0, "bad cap");
+    if cap <= 0.0 {
+        return 0.0;
+    }
+    let t = 0.0f64;
+    let mut t_next = f64::INFINITY;
+    for (capacity, background) in links {
+        assert!(capacity > 0.0 && capacity.is_finite(), "bad link capacity");
+        let mut aw = 0.0 + weight;
+        if background > 1e-9 {
+            assert!(background.is_finite(), "bad weight");
+            aw += background;
+        }
+        if aw > 1e-12 {
+            t_next = t_next.min(t + (capacity - aw * t).max(0.0) / aw);
+        }
+    }
+    if cap.is_finite() {
+        t_next = t_next.min(cap / weight);
+    }
+    if !t_next.is_finite() {
+        return weight * t;
+    }
+    let t = t_next.max(t);
+    if cap.is_finite() && cap / weight <= t + 1e-12 {
+        cap
+    } else {
+        (weight * t).min(cap)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,6 +631,38 @@ mod tests {
                 }
                 prop_assert_eq!(&bits(reused.solve()), &want);
             }
+        }
+    }
+
+    /// One flow over distinct links, each with a background weight that
+    /// may fall under the solver's `1e-9` cut.
+    fn arb_lone() -> impl Strategy<Value = (f64, f64, Vec<(f64, f64)>)> {
+        let link = (
+            prop_oneof![Just(1e-3), 1e-3f64..1e9],
+            prop_oneof![Just(0.0), Just(1e-10), 1e-3f64..200.0],
+        );
+        (
+            0.5f64..16.0,
+            prop_oneof![Just(0.0), Just(f64::INFINITY), 1e-3f64..1e3, 1.0f64..2e9],
+            prop::collection::vec(link, 1..=4),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn lone_flow_rate_matches_the_solver_bit_for_bit((weight, cap, links) in arb_lone()) {
+            let caps: Vec<f64> = links.iter().map(|&(c, _)| c).collect();
+            let mut problem = vec![FairFlow { weight, cap, links: (0..links.len()).collect() }];
+            for (l, &(_, w)) in links.iter().enumerate() {
+                if w > 1e-9 {
+                    problem.push(flow(w, f64::INFINITY, &[l]));
+                }
+            }
+            let want = solve(&caps, &problem)[0];
+            let got = lone_flow_rate(weight, cap, links.iter().copied());
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs solver {}", got, want);
         }
     }
 

@@ -133,8 +133,11 @@ struct Burst {
 ///
 /// Advance with [`LinkLoadModel::advance_to`]; read the current competing
 /// weight with [`LinkLoadModel::weight`]. The process is deterministic
-/// given its seed and the sequence of advance times (the engine always
-/// advances on the fixed tick grid, so replays are exact).
+/// given its seed and the sequence of advance times. The network calls
+/// `advance_to` once per engine grid instant, in order, but lazily: a link
+/// no flow crosses is left behind and replayed through every instant it
+/// missed, one call each, when a flow is next admitted on it. The calls,
+/// and so the draws, are those of ticking every link at every instant.
 #[derive(Debug)]
 pub struct LinkLoadModel {
     cfg: LoadModelConfig,
@@ -147,6 +150,9 @@ pub struct LinkLoadModel {
     next_burst: SimTime,
     /// Last time the state was advanced to.
     now: SimTime,
+    /// The walk's own grid position: the time of its last step, a
+    /// multiple of `cfg.tick`.
+    walk_at: SimTime,
     /// Cached weight at `now`.
     weight: f64,
 }
@@ -154,6 +160,7 @@ pub struct LinkLoadModel {
 impl LinkLoadModel {
     /// Create a load model for one link.
     pub fn new(cfg: LoadModelConfig, seed: MasterSeed, label: &str) -> Self {
+        assert!(cfg.tick > SimDuration::ZERO, "load tick must be positive");
         let mut rng = seed.derive(&format!("load.{label}"));
         let first_gap = exponential(&mut rng, cfg.burst_mean_interarrival.as_secs_f64());
         let next_burst = SimTime::ZERO + SimDuration::from_secs_f64(first_gap);
@@ -164,6 +171,7 @@ impl LinkLoadModel {
             bursts: Vec::new(),
             next_burst,
             now: SimTime::ZERO,
+            walk_at: SimTime::ZERO,
             weight: 0.0,
         };
         m.recompute();
@@ -180,21 +188,24 @@ impl LinkLoadModel {
         self.weight
     }
 
+    /// The time the state was last advanced to.
+    pub(crate) fn now(&self) -> SimTime {
+        self.now
+    }
+
     /// Advance internal state to `t`. Must be called with non-decreasing
-    /// times; the engine calls it once per tick.
+    /// times; a repeated time changes nothing.
     pub fn advance_to(&mut self, t: SimTime) {
         debug_assert!(t >= self.now, "load model time went backwards");
-        // Evolve the random walk once per elapsed tick (at most a few; the
-        // engine ticks on the grid so usually exactly one).
-        let ticks = t
-            .saturating_since(self.now)
-            .as_micros()
-            .checked_div(self.cfg.tick.as_micros().max(1))
-            .unwrap_or(0);
-        for _ in 0..ticks.min(1_000) {
+        // Evolve the random walk once per step of its own grid passed
+        // since its last step, which a caller ticking faster than the
+        // model leaves behind for a call or more.
+        let steps = t.saturating_since(self.walk_at).as_micros() / self.cfg.tick.as_micros();
+        for _ in 0..steps {
             let noise = standard_normal(&mut self.rng) * self.cfg.walk_sigma;
             self.walk += noise - self.cfg.walk_revert * self.walk;
         }
+        self.walk_at += self.cfg.tick * steps;
         // Expire finished bursts and draw new arrivals up to t.
         self.bursts.retain(|b| b.until > t);
         while self.next_burst <= t {
@@ -261,6 +272,33 @@ mod tests {
             b.advance_to(t);
             assert_eq!(a.weight(), b.weight());
         }
+    }
+
+    /// Walk steps taken over one day by a model with a `model_tick` walk
+    /// driven every `drive` seconds.
+    fn walk_steps_per_day(model_tick: u64, drive: u64) -> usize {
+        let cfg = LoadModelConfig {
+            tick: SimDuration::from_secs(model_tick),
+            ..LoadModelConfig::default()
+        };
+        let mut m = LinkLoadModel::new(cfg, MasterSeed(5), "slow");
+        let mut steps = 0;
+        for k in 1..=86_400 / drive {
+            let before = m.walk;
+            m.advance_to(SimTime::from_secs(k * drive));
+            steps += usize::from(m.walk.to_bits() != before.to_bits());
+        }
+        steps
+    }
+
+    #[test]
+    fn a_slow_walk_driven_by_a_faster_tick_still_steps_on_its_own_grid() {
+        // A network whose links mix ticks drives every link at the
+        // fastest one: a 120-s walk driven every 60 s steps every other
+        // call, as often as when driven on its own grid.
+        assert_eq!(walk_steps_per_day(120, 60), 720);
+        assert_eq!(walk_steps_per_day(120, 120), 720);
+        assert_eq!(walk_steps_per_day(60, 60), 1_440);
     }
 
     #[test]

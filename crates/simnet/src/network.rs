@@ -21,8 +21,17 @@
 //! of its own sub-problem, an unmarked component's sub-problem is the one
 //! it was last solved with, and flow byte counts are still integrated for
 //! every flow at every event.
+//!
+//! ## Lazy load ticks
+//!
+//! Background weights are read only for links some flow crosses. A load
+//! tick therefore advances only those links' models; a link that carries
+//! nothing falls behind and is replayed through every engine grid instant
+//! it missed, one tick at a time, when a flow is next admitted on it. Each
+//! model owns its RNG stream and sees the same calls in the same order as
+//! under ticking every link, so every weight is the same to the bit.
 
-use crate::fair::Solver;
+use crate::fair::{lone_flow_rate, Solver};
 use crate::flow::{Flow, FlowDone, FlowFailed, FlowId, FlowSpec};
 use crate::index::VecMap;
 use crate::load::{LinkLoadModel, LoadModelConfig};
@@ -90,6 +99,8 @@ struct Partition {
     carrying: Vec<usize>,
     /// Roots of the components to solve, ascending.
     roots: Vec<usize>,
+    /// Foreground flows per component, counted at its root.
+    flows_in: Vec<usize>,
     /// Links of the component being solved, ascending.
     members: Vec<usize>,
     /// A member link's position in `members`: its number in the solver's
@@ -127,6 +138,8 @@ impl Partition {
 pub struct Network {
     topo: Topology,
     loads: Vec<LinkLoadModel>,
+    /// The engine's load-tick grid: the shortest tick among the links.
+    tick: SimDuration,
     flows: VecMap<FlowId, Flow>,
     next_id: u64,
     /// Time to which flow byte-counts have been integrated.
@@ -158,15 +171,21 @@ impl Network {
             topo.link_count(),
             "one load config per link"
         );
-        let loads = load_cfgs
+        let loads: Vec<LinkLoadModel> = load_cfgs
             .into_iter()
             .zip(topo.links())
             .map(|(cfg, (_, link))| LinkLoadModel::new(cfg, seed, &link.name))
             .collect();
+        let tick = loads
+            .iter()
+            .map(LinkLoadModel::tick)
+            .min()
+            .unwrap_or(SimDuration::from_secs(60));
         let n_links = topo.link_count();
         Network {
             topo,
             loads,
+            tick,
             flows: VecMap::new(),
             next_id: 0,
             integrated_to: SimTime::ZERO,
@@ -180,6 +199,7 @@ impl Network {
                 parent: vec![NO_FLOW; n_links],
                 carrying: Vec::new(),
                 roots: Vec::new(),
+                flows_in: vec![0; n_links],
                 members: Vec::new(),
                 local: vec![0; n_links],
             },
@@ -206,27 +226,30 @@ impl Network {
         self.flows.len()
     }
 
-    /// Current background weight on a link.
-    pub fn link_weight(&self, link: LinkId) -> f64 {
-        self.loads[link.0 as usize].weight()
+    /// The engine's load-tick interval: ticks fall on its multiples, and
+    /// each advances every flow-carrying link by one grid instant. Links
+    /// with a longer tick still step their walk on their own grid.
+    pub fn load_tick(&self) -> SimDuration {
+        self.tick
     }
 
-    /// The background-load tick interval (uniform across links by
-    /// construction of the engine's tick event).
-    pub fn load_tick(&self) -> SimDuration {
-        self.loads
-            .iter()
-            .map(|l| l.tick())
-            .min()
-            .unwrap_or(SimDuration::from_secs(60))
+    /// The first load-tick instant after `now`.
+    pub(crate) fn next_load_tick(&self, now: SimTime) -> SimTime {
+        let grid = self.tick.as_micros();
+        SimTime::from_micros((now.as_micros() / grid + 1) * grid)
     }
 
     /// Admit a flow at time `now`. Bytes start moving immediately (the
     /// caller models any connection-establishment latency before calling).
+    /// Every link of the route is first caught up through the load-tick
+    /// instants it missed while it carried nothing.
     pub fn start_flow(&mut self, spec: FlowSpec, now: SimTime) -> Result<FlowId, TopologyError> {
         self.integrate_to(now);
         let route = self.topo.route(spec.from, spec.to)?.clone();
         let rtt = self.topo.rtt(spec.from, spec.to)?;
+        for l in &route.links {
+            catch_up(&mut self.loads[l.0 as usize], self.tick, now);
+        }
         let id = FlowId(self.next_id);
         self.next_id += 1;
         self.touched.route(&route.links);
@@ -336,17 +359,22 @@ impl Network {
         })
     }
 
-    /// Advance background load models to `t` and mark every link if any
-    /// foreground flow is active: the weights feed every sub-problem and
-    /// every queueing factor.
-    pub fn load_tick_to(&mut self, t: SimTime) {
+    /// The load tick at grid instant `t`: advance the load model of every
+    /// link a flow crosses to `t`, and mark every link if any flow is
+    /// active (the weights feed every sub-problem and every queueing
+    /// factor). Links no flow crosses are left behind; [`Network::start_flow`]
+    /// catches them up.
+    pub(crate) fn load_tick_to(&mut self, t: SimTime) {
         self.integrate_to(t);
-        for l in &mut self.loads {
-            l.advance_to(t);
+        if self.flows.is_empty() {
+            return;
         }
-        if !self.flows.is_empty() {
-            self.touched.all();
+        for f in self.flows.values() {
+            for l in &f.links {
+                catch_up(&mut self.loads[l.0 as usize], self.tick, t);
+            }
         }
+        self.touched.all();
     }
 
     /// Re-solve the rates of every component an event touched since the
@@ -377,6 +405,11 @@ impl Network {
             let l = p.carrying[i];
             p.parent[l] = p.find(l);
         }
+        for f in self.flows.values() {
+            if let Some(l) = f.links.first() {
+                p.flows_in[p.parent[l.0 as usize]] += 1;
+            }
+        }
 
         // The components to solve: those with a touched link.
         for &l in &p.carrying {
@@ -387,6 +420,13 @@ impl Network {
         p.roots.sort_unstable();
         p.roots.dedup();
 
+        let capacity = |l: usize| {
+            let link = self
+                .topo
+                .link(LinkId(l as u32))
+                .expect("member link exists");
+            effective_capacity(link.capacity_bps, self.outages[l], self.degrade[l])
+        };
         for &root in &p.roots {
             let parent = &p.parent;
             let in_component = |f: &Flow| {
@@ -403,17 +443,32 @@ impl Network {
             p.members
                 .extend(p.carrying.iter().copied().filter(|&l| parent[l] == root));
             p.members.sort_unstable();
+            self.solves += 1;
+
+            // A flow alone on its links (each listed once) is frozen by the
+            // solver's first round: its rate has a closed form.
+            if p.flows_in[root] == 1 {
+                let f = self
+                    .flows
+                    .values_mut()
+                    .find(|f| in_component(f))
+                    .expect("the component's one flow");
+                if f.links.len() == p.members.len() {
+                    f.queue_factor = queue_factor(&self.loads, &f.links);
+                    let links = f.links.iter().map(|l| {
+                        let l = l.0 as usize;
+                        (capacity(l), self.loads[l].weight())
+                    });
+                    f.rate = lone_flow_rate(f.spec.streams as f64, f.rate_cap(), links);
+                    self.flows_solved += 1;
+                    continue;
+                }
+            }
+
             for (k, &l) in p.members.iter().enumerate() {
                 p.local[l] = k;
             }
-            self.solver.begin(p.members.iter().map(|&l| {
-                let link = self
-                    .topo
-                    .link(LinkId(l as u32))
-                    .expect("member link exists");
-                effective_capacity(link.capacity_bps, self.outages[l], self.degrade[l])
-            }));
-            let mut n_flows = 0;
+            self.solver.begin(p.members.iter().map(|&l| capacity(l)));
             for f in self.flows.values_mut().filter(|f| in_component(f)) {
                 f.queue_factor = queue_factor(&self.loads, &f.links);
                 self.solver.push_flow(
@@ -421,7 +476,6 @@ impl Network {
                     f.rate_cap(),
                     f.links.iter().map(|l| p.local[l.0 as usize]),
                 );
-                n_flows += 1;
             }
             for (k, &l) in p.members.iter().enumerate() {
                 push_background(&mut self.solver, self.loads[l].weight(), k);
@@ -436,12 +490,12 @@ impl Network {
             {
                 f.rate = rate;
             }
-            self.solves += 1;
-            self.flows_solved += n_flows;
+            self.flows_solved += p.flows_in[root] as u64;
         }
 
         for &l in &p.carrying {
             p.parent[l] = NO_FLOW;
+            p.flows_in[l] = 0;
         }
         p.carrying.clear();
         p.roots.clear();
@@ -541,6 +595,17 @@ impl Network {
     /// Time to which flow byte counts are integrated (mostly for tests).
     pub fn integrated_to(&self) -> SimTime {
         self.integrated_to
+    }
+}
+
+/// Advance a link's load model through every `grid` instant in
+/// `(model's time, now]`, one call per instant: one call across a gap
+/// would draw the walk's steps before the bursts, not interleaved.
+fn catch_up(load: &mut LinkLoadModel, grid: SimDuration, now: SimTime) {
+    let mut next = load.now() + grid;
+    while next <= now {
+        load.advance_to(next);
+        next += grid;
     }
 }
 
@@ -1012,6 +1077,18 @@ impl Network {
         self.touched.all();
     }
 
+    /// The oracle for lazy ticks: [`Network::load_tick_to`] from before it
+    /// went lazy, advancing every link's model at every tick.
+    fn load_tick_eager(&mut self, t: SimTime) {
+        self.integrate_to(t);
+        for l in &mut self.loads {
+            l.advance_to(t);
+        }
+        if !self.flows.is_empty() {
+            self.touched.all();
+        }
+    }
+
     /// The oracle: the body of [`Network::resolve`] from before it went
     /// component-local — one max-min problem over every link, every flow
     /// and every link's background load, on a fresh solver. Returns each
@@ -1049,9 +1126,9 @@ impl Network {
     }
 }
 
-/// The component-local, dirty-tracked [`Network::resolve`] against three
-/// references, after every resolve of random op sequences on topologies
-/// whose components merge and split.
+/// The component-local, dirty-tracked [`Network::resolve`] with lazy load
+/// ticks against four references, after every resolve of random op
+/// sequences on topologies whose components merge and split.
 #[cfg(test)]
 mod component_tests {
     use super::*;
@@ -1155,7 +1232,6 @@ mod component_tests {
         Cap(usize, f64),
         Outage(usize, bool),
         Degrade(usize, f64),
-        Tick,
         Abort(usize),
         Fail(usize),
     }
@@ -1191,19 +1267,23 @@ mod component_tests {
                 .prop_map(|(i, cap)| Op::Cap(i, cap)),
             (0usize..64, any::<bool>()).prop_map(|(l, out)| Op::Outage(l, out)),
             (0usize..64, prop_oneof![Just(1.0), 0.05f64..1.0]).prop_map(|(l, f)| Op::Degrade(l, f)),
-            Just(Op::Tick),
             (0usize..64).prop_map(Op::Abort),
             (0usize..64).prop_map(Op::Fail),
         ]
     }
 
-    /// How simulated time moves before a step's ops.
+    /// How simulated time moves before a step's ops. Every load tick it
+    /// passes is applied on the way, as the engine applies them.
     #[derive(Debug, Clone)]
     enum Advance {
         /// Same instant as the previous step.
         Stay,
         Millis(u64),
-        /// To the earliest completion, which is retired.
+        /// To the next load tick, whose tick is applied after the step's
+        /// ops at that instant instead of before.
+        OpsThenTick,
+        /// To the earliest completion, which is retired; ticks that come
+        /// first are applied instead (a bounded number of them).
         Complete,
     }
 
@@ -1213,6 +1293,7 @@ mod component_tests {
             (1u64..2_000).prop_map(Advance::Millis),
             // Long enough for the load models to move.
             (30_000u64..200_000).prop_map(Advance::Millis),
+            Just(Advance::OpsThenTick),
             Just(Advance::Complete),
         ];
         prop::collection::vec((advance, prop::collection::vec(arb_op(), 1..=3)), 1..=40)
@@ -1254,7 +1335,6 @@ mod component_tests {
             }
             Op::Outage(l, out) => net.set_link_outage(link(net, l), out, now),
             Op::Degrade(l, f) => net.set_link_degradation(link(net, l), f, now),
-            Op::Tick => net.load_tick_to(now),
             Op::Abort(i) => {
                 if let Some(id) = flow(net, i) {
                     net.abort_flow(id, now).expect("picked a live flow");
@@ -1323,7 +1403,7 @@ mod component_tests {
             })
             .collect();
         for (k, &l) in links.iter().enumerate() {
-            let w = net.link_weight(LinkId(l as u32));
+            let w = net.loads[l].weight();
             if w > 1e-9 {
                 problem.push(FairFlow {
                     weight: w,
@@ -1380,6 +1460,81 @@ mod component_tests {
         }
     }
 
+    /// (iv) Lazy ticks are exact: a network ticked eagerly, every link at
+    /// every tick, has the same bits in every flow and the same next
+    /// completion.
+    fn check_lazy(net: &Network, eager: &Network) {
+        assert_eq!(net.flows.len(), eager.flows.len());
+        for ((id, f), g) in net.flows.iter().zip(eager.flows.values()) {
+            assert_eq!(f.rate.to_bits(), g.rate.to_bits(), "{id:?} rate vs eager");
+            assert_eq!(
+                f.queue_factor.to_bits(),
+                g.queue_factor.to_bits(),
+                "{id:?} queue factor vs eager"
+            );
+            assert_eq!(
+                f.remaining.to_bits(),
+                g.remaining.to_bits(),
+                "{id:?} remaining vs eager"
+            );
+        }
+        assert_eq!(net.next_completion(), eager.next_completion());
+    }
+
+    /// The network under test, its mark-everything twin and its eagerly
+    /// ticked twin.
+    struct Nets {
+        net: Network,
+        twin: Network,
+        eager: Network,
+    }
+
+    impl Nets {
+        fn resolve(&mut self) {
+            self.net.resolve();
+            self.twin.touch_all();
+            self.twin.resolve();
+            self.eager.resolve();
+        }
+
+        /// The load tick at grid instant `t`, then a resolve, as the
+        /// engine processes one.
+        fn tick(&mut self, t: SimTime) {
+            self.net.load_tick_to(t);
+            self.twin.load_tick_to(t);
+            self.eager.load_tick_eager(t);
+            self.resolve();
+        }
+
+        /// Every load tick in `(from, to]`.
+        fn ticks_through(&mut self, from: SimTime, to: SimTime) {
+            let mut t = self.net.next_load_tick(from);
+            while t <= to {
+                self.tick(t);
+                t = self.net.next_load_tick(t);
+            }
+        }
+
+        fn each(&mut self, f: impl Fn(&mut Network)) {
+            f(&mut self.net);
+            f(&mut self.twin);
+            f(&mut self.eager);
+        }
+    }
+
+    /// One load config per link: the default everywhere, or with the
+    /// links' ticks mixed, so that the engine's grid is finer than some
+    /// links' own.
+    fn load_cfgs(topo: &Topology, mixed: bool) -> Vec<LoadModelConfig> {
+        let ticks = [60, 120, 90].into_iter().cycle();
+        (ticks.take(topo.link_count()))
+            .map(|secs| LoadModelConfig {
+                tick: SimDuration::from_secs(if mixed { secs } else { 60 }),
+                ..LoadModelConfig::default()
+            })
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1388,39 +1543,59 @@ mod component_tests {
             shape in prop_oneof![Just(Shape::Star), Just(Shape::Dumbbell), Just(Shape::Pairs)],
             caps in prop::collection::vec(1e6f64..5e7, 17),
             seed in 0u64..1_000,
+            mixed in any::<bool>(),
             steps in arb_steps(),
         ) {
             let (topo, pairs) = build(shape, &caps);
-            let fresh = || {
-                Network::with_uniform_load(topo.clone(), LoadModelConfig::default(), MasterSeed(seed))
-            };
-            let (mut net, mut twin) = (fresh(), fresh());
+            let cfgs = load_cfgs(&topo, mixed);
+            let fresh = || Network::new(topo.clone(), cfgs.clone(), MasterSeed(seed));
+            let mut nets = Nets { net: fresh(), twin: fresh(), eager: fresh() };
             let mut now = SimTime::ZERO;
             for (advance, ops) in &steps {
+                let mut tick_after_ops = None;
                 match advance {
                     Advance::Stay => {}
-                    Advance::Millis(ms) => now += SimDuration::from_millis(*ms),
+                    Advance::Millis(ms) => {
+                        let to = now + SimDuration::from_millis(*ms);
+                        nets.ticks_through(now, to);
+                        now = to;
+                    }
+                    Advance::OpsThenTick => {
+                        now = nets.net.next_load_tick(now);
+                        tick_after_ops = Some(now);
+                    }
                     Advance::Complete => {
-                        let next = net.next_completion();
-                        prop_assert_eq!(next, twin.next_completion());
-                        if let Some((eta, id)) = next {
+                        for _ in 0..8 {
+                            let next = nets.net.next_completion();
+                            prop_assert_eq!(next, nets.twin.next_completion());
+                            let Some((eta, id)) = next else { break };
+                            let tick = nets.net.next_load_tick(now);
+                            // Events win ties with completions.
+                            if tick <= eta {
+                                nets.tick(tick);
+                                now = tick;
+                                continue;
+                            }
                             now = now.max(eta);
-                            net.finish_flow(id, now);
-                            twin.finish_flow(id, now);
+                            nets.each(|n| {
+                                n.finish_flow(id, now);
+                            });
+                            break;
                         }
                     }
                 }
                 for op in ops {
-                    apply(&mut net, &pairs, op, now);
-                    apply(&mut twin, &pairs, op, now);
+                    nets.each(|n| apply(n, &pairs, op, now));
                 }
-                net.resolve();
-                twin.touch_all();
-                twin.resolve();
-                check(&net, &twin);
+                match tick_after_ops {
+                    Some(t) => nets.tick(t),
+                    None => nets.resolve(),
+                }
+                check(&nets.net, &nets.twin);
+                check_lazy(&nets.net, &nets.eager);
                 // Marking everything can only add solves.
-                prop_assert!(net.solves() <= twin.solves());
-                prop_assert!(net.flows_solved() <= twin.flows_solved());
+                prop_assert!(nets.net.solves() <= nets.twin.solves());
+                prop_assert!(nets.net.flows_solved() <= nets.twin.flows_solved());
             }
         }
     }

@@ -131,14 +131,14 @@ fn coalloc_faulty_campaigns_replay_byte_identically() {
     assert_eq!(ja.into_bytes(), jb.into_bytes());
 }
 
-/// The four campaign shapes the staged pin covers, each on a fresh
-/// enabled sink: clean with probes, faulty with retry, chaos at 5 %, and
-/// faulty co-allocation at k = 2.
-fn staged_pin_config(shape: usize, sink: ObsSink) -> CampaignConfig {
+/// The four campaign shapes the staged and byte pins cover: clean with
+/// probes, faulty with retry, chaos at 5 %, and faulty co-allocation at
+/// k = 2.
+fn staged_pin_config(shape: usize, seed: u64, days: u64, sink: ObsSink) -> CampaignConfig {
     use wanpred_core::gridftp::RetryPolicy;
     use wanpred_core::simnet::fault::FaultConfig;
 
-    let b = CampaignConfig::builder(17).duration_days(2).obs(sink);
+    let b = CampaignConfig::builder(seed).duration_days(days).obs(sink);
     match shape {
         0 => b,
         1 => b
@@ -155,7 +155,7 @@ fn staged_pin_config(shape: usize, sink: ObsSink) -> CampaignConfig {
 /// `run_until` at each horizon in turn, then `finish`.
 fn staged_pin_bytes(shape: usize, stages: Option<&[u64]>) -> (String, String) {
     let sink = ObsSink::enabled();
-    let cfg = staged_pin_config(shape, sink.clone());
+    let cfg = staged_pin_config(shape, 17, 2, sink.clone());
     let result = match stages {
         None => run_campaign(&cfg),
         Some(stages) => {
@@ -192,6 +192,42 @@ proptest::proptest! {
             assert!(got.1 == want.1, "shape {shape}: snapshot differs after stages {stages:?}");
         }
     }
+}
+
+/// FNV-1a over `bytes`: a fixed, toolchain-independent fingerprint.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn campaign_bytes_are_pinned() {
+    // Every f64 of a serialised CampaignResult prints shortest-round-trip,
+    // so these fingerprints pin each rate, time and count to the bit: a
+    // change to the simulator that means to keep outputs must keep them.
+    // Rows are the four staged-pin shapes, columns the seeds.
+    const SEEDS: [u64; 2] = [17, 42];
+    const PINNED: [[u64; 2]; 4] = [
+        [0xe79b7e06b7cc8288, 0x48c1abb7ebcb5cd8],
+        [0x0a7c14a54d7492b0, 0x28d1bb1d7d5f569e],
+        [0xff47d0ea55bb3394, 0xc5ac42efe9a8131e],
+        [0x625bd335ccedfe8f, 0x1c4f3379165b4bd4],
+    ];
+    let mut got = [[0u64; 2]; 4];
+    for (shape, row) in got.iter_mut().enumerate() {
+        for (slot, &seed) in row.iter_mut().zip(&SEEDS) {
+            let cfg = staged_pin_config(shape, seed, 3, ObsSink::disabled());
+            let json =
+                serde_json::to_string(&run_campaign(&cfg)).expect("serialize campaign result");
+            *slot = fnv1a(json.as_bytes());
+        }
+    }
+    let hex: Vec<String> = got
+        .iter()
+        .map(|row| format!("[{:#018x}, {:#018x}]", row[0], row[1]))
+        .collect();
+    assert_eq!(got, PINNED, "now [{}]", hex.join(", "));
 }
 
 #[test]
