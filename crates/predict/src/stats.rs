@@ -30,6 +30,19 @@ pub(crate) fn insert_sorted(sorted: &mut Vec<f64>, v: f64) {
     sorted.insert(at, v);
 }
 
+/// Remove one copy of `v` from a vector kept in `total_cmp` order: the
+/// inverse of [`insert_sorted`]. `total_cmp` calls two values equal only
+/// when their bits are, so which copy goes does not matter, and `-0.0`
+/// never stands in for `0.0` (nor one NaN for another) as under `==`.
+pub(crate) fn remove_sorted(sorted: &mut Vec<f64>, v: f64) {
+    let at = sorted.partition_point(|x| x.total_cmp(&v).is_lt());
+    debug_assert!(
+        sorted.get(at).map(|x| x.to_bits()) == Some(v.to_bits()),
+        "{v} is not in the window"
+    );
+    sorted.remove(at);
+}
+
 /// [`median`] of values already in `total_cmp` order — the read side of
 /// an order statistic kept sorted by insertion. `total_cmp` calls two
 /// values equal only when their bits are, so any sort of one multiset

@@ -108,10 +108,20 @@ impl Default for TournamentOptions {
 /// finite or `None` — an all-zero-measurement stretch, which produces no
 /// scorable errors at all under the shared zero-measurement convention,
 /// simply leaves the window unchanged rather than surfacing NaN.
+///
+/// Leaders are ranked on the bits of [`mape`](RollingMape::mape), so it
+/// is always `Iterator::sum` over the in-window errors, front to back.
+/// Until the window first fills and evicts, that sum is kept running
+/// (the same left fold from the same `-0.0`), which makes the read
+/// O(1). A full, sliding window has no bit-exact O(1) form and refolds
+/// its up to `window` entries on each read.
 #[derive(Debug, Clone)]
 struct RollingMape {
     window: usize,
     errs: VecDeque<f64>,
+    /// `Σ errs` folded as `Iterator::sum` folds it, while nothing has
+    /// been evicted; `None` from the first eviction on.
+    sum: Option<f64>,
 }
 
 impl RollingMape {
@@ -124,6 +134,7 @@ impl RollingMape {
             // of these per candidate per board, and most boards of most
             // pairs stay far below their nominal window.
             errs: VecDeque::new(),
+            sum: Some(std::iter::empty::<f64>().sum()),
         }
     }
 
@@ -136,24 +147,28 @@ impl RollingMape {
         }
         if self.errs.len() == self.window {
             self.errs.pop_front();
+            self.sum = None;
         } else if self.errs.len() == self.errs.capacity() {
             // Grow geometrically, but never past the window.
             let target = (self.errs.capacity() * 2).max(4).min(self.window);
             self.errs.reserve_exact(target - self.errs.len());
         }
+        if let Some(sum) = &mut self.sum {
+            *sum += err;
+        }
         self.errs.push_back(err);
     }
 
-    /// Mean of the in-window errors; `None` until something scores: a
-    /// front-to-back sum of up to `window` entries (50 on the
-    /// tournament's global board, 400 on a class board). A
-    /// sliding-window sum has no bit-exact O(1) form, and leaders are
-    /// ranked on these bits.
+    /// Mean of the in-window errors; `None` until something scores. O(1)
+    /// until the first eviction, then a front-to-back sum of the full
+    /// window (50 on the tournament's global board, 400 on a class
+    /// board).
     fn mape(&self) -> Option<f64> {
         if self.errs.is_empty() {
             return None;
         }
-        Some(self.errs.iter().sum::<f64>() / self.errs.len() as f64)
+        let sum = self.sum.unwrap_or_else(|| self.errs.iter().sum());
+        Some(sum / self.errs.len() as f64)
     }
 
     /// Number of in-window errors.
@@ -163,19 +178,26 @@ impl RollingMape {
 }
 
 /// One arrival-ordered observation stream — every target, or one size
-/// class — with the statistics the pool's specs read over
-/// [`Window::All`] kept append-only in a form that is *bit-exact*: the
-/// running sums are the left fold `Iterator::sum` is, a `total_cmp`
-/// sort of the slice yields exactly `sorted`, [`GramAcc::from_slice`]
-/// is the same arrival-order merge, and the time-of-day basis is a pure
-/// function of `at_unix`. Bounded windows and AR's centred pass have no
-/// such form and read `obs`. An accumulator no spec reads is `None`.
+/// class — with the statistics the pool's specs read kept append-only in
+/// a form that is *bit-exact*: the running sums are the left fold
+/// `Iterator::sum` is, a `total_cmp` sort of the slice yields exactly
+/// `sorted`, [`GramAcc::from_slice`] is the same arrival-order merge,
+/// and the time-of-day basis is a pure function of `at_unix`. Those are
+/// [`Window::All`]'s statistics, and any window that selects the whole
+/// stream reads them too. A count-window median reads its own sorted
+/// window, kept by one insert and one removal per push. Hour and day
+/// windows that select a proper suffix, count-window means and
+/// regressions, and AR's centred pass still read `obs`. An accumulator
+/// no spec reads is not kept.
 #[derive(Clone)]
 struct Stream {
     obs: Vec<Observation>,
     sums: BandwidthSums,
     /// Bandwidths in `total_cmp` order (`MED`).
     sorted: Option<Vec<f64>>,
+    /// For each count window `n` a median reads (`MED5/15/25`), the
+    /// last `n` bandwidths in `total_cmp` order.
+    count_sorted: Vec<(usize, Vec<f64>)>,
     /// All-history Gram accumulators, indexed by `RegKind as usize`.
     grams: [Option<GramAcc>; RegKind::ALL.len()],
     /// `RegKind::TimeOfDay`'s basis of each observation, for windowed
@@ -190,12 +212,18 @@ impl Stream {
             obs: Vec::new(),
             sums: BandwidthSums::new(),
             sorted: None,
+            count_sorted: Vec::new(),
             grams: [None; RegKind::ALL.len()],
             tod: None,
         };
         for spec in specs {
             match spec {
                 PredictorSpec::Median(Window::All) => s.sorted = Some(Vec::new()),
+                PredictorSpec::Median(Window::LastN(n))
+                    if n > 0 && s.count_sorted.iter().all(|&(m, _)| m != n) =>
+                {
+                    s.count_sorted.push((n, Vec::new()));
+                }
                 PredictorSpec::Regression(kind, Window::All) => {
                     s.grams[kind as usize] = Some(GramAcc::default());
                 }
@@ -212,6 +240,12 @@ impl Stream {
         if let Some(sorted) = &mut self.sorted {
             stats::insert_sorted(sorted, v);
         }
+        for (n, window) in &mut self.count_sorted {
+            if let Some(evicted) = self.obs.len().checked_sub(*n) {
+                stats::remove_sorted(window, self.obs[evicted].bandwidth_kbs);
+            }
+            stats::insert_sorted(window, v);
+        }
         for (kind, gram) in RegKind::ALL.into_iter().zip(&mut self.grams) {
             if let Some(g) = gram {
                 *g = g.merge(GramAcc::of_obs(kind.basis_of_obs(&o), v));
@@ -223,38 +257,93 @@ impl Stream {
         self.obs.push(o);
     }
 
+    /// Where `spec`'s window starts on this stream at `now`. Its answer
+    /// is a function of `obs[start..]` (and, for a regression, of the
+    /// target) alone, so specs of one [`family`] whose windows start
+    /// at the same place answer alike.
+    fn start(&self, spec: PredictorSpec, now: u64) -> usize {
+        let w = match spec {
+            PredictorSpec::Mean(w)
+            | PredictorSpec::Median(w)
+            | PredictorSpec::Ar(w)
+            | PredictorSpec::Regression(_, w) => w,
+            PredictorSpec::Last => Window::LastN(1),
+        };
+        self.obs.len() - w.select(&self.obs, now).len()
+    }
+
     /// What the standard predictor `spec` describes answers on this
-    /// stream, bit for bit.
-    fn predict(&self, spec: PredictorSpec, now: u64, target_size: u64) -> Option<f64> {
-        let select = |w: Window| w.select(&self.obs, now);
-        let sums = |w: Window| (w == Window::All).then_some(self.sums);
+    /// stream, bit for bit, given where its window
+    /// [`start`](Stream::start)s.
+    fn predict(
+        &self,
+        spec: PredictorSpec,
+        start: usize,
+        now: u64,
+        target_size: u64,
+    ) -> Option<f64> {
+        let sel = &self.obs[start..];
+        // The whole stream is selected: read the all-history state.
+        let whole = start == 0;
+        let sums = whole.then_some(self.sums);
         match spec {
-            PredictorSpec::Mean(w) => mean_bandwidth(select(w), sums(w).map(|s| s.all)),
-            PredictorSpec::Median(w) => match &self.sorted {
-                Some(sorted) if w == Window::All => stats::median_of_sorted(sorted),
-                _ => median_bandwidth(select(w)),
-            },
-            PredictorSpec::Ar(w) => arima::predict_selected(select(w), sums(w)),
-            PredictorSpec::Last => self.obs.last().map(|o| o.bandwidth_kbs),
-            PredictorSpec::Regression(kind, w) => {
-                let sel = select(w);
+            PredictorSpec::Mean(_) => mean_bandwidth(sel, sums.map(|s| s.all)),
+            PredictorSpec::Median(w) => {
+                let window = self
+                    .count_sorted
+                    .iter()
+                    .find(|&&(n, _)| w == Window::LastN(n));
+                match (window, &self.sorted) {
+                    (Some((_, sorted)), _) => stats::median_of_sorted(sorted),
+                    (None, Some(sorted)) if whole => stats::median_of_sorted(sorted),
+                    _ => median_bandwidth(sel),
+                }
+            }
+            PredictorSpec::Ar(_) => arima::predict_selected(sel, sums),
+            PredictorSpec::Last => sel.last().map(|o| o.bandwidth_kbs),
+            PredictorSpec::Regression(kind, _) => {
                 let gram = match (self.grams[kind as usize], &self.tod) {
-                    (Some(gram), _) if w == Window::All => gram,
-                    (_, Some(tod)) if kind == RegKind::TimeOfDay => {
-                        let memo = &tod[self.obs.len() - sel.len()..];
-                        sel.iter()
-                            .zip(memo)
-                            .fold(GramAcc::default(), |acc, (o, &b)| {
-                                acc.merge(GramAcc::of_obs(b, o.bandwidth_kbs))
-                            })
-                    }
+                    (Some(gram), _) if whole => gram,
+                    (_, Some(tod)) if kind == RegKind::TimeOfDay => sel
+                        .iter()
+                        .zip(&tod[start..])
+                        .fold(GramAcc::default(), |acc, (o, &b)| {
+                            acc.merge(GramAcc::of_obs(b, o.bandwidth_kbs))
+                        }),
                     _ => GramAcc::from_slice(sel, kind),
                 };
-                let sum = sums(w).map(|s| s.all);
+                let sum = sums.map(|s| s.all);
                 regression::predict_selected(kind, sel, gram, sum, now, target_size)
             }
         }
     }
+}
+
+/// What a spec's answer depends on besides where its window starts:
+/// the estimator, and a regression's covariates — the spec with its
+/// window replaced by [`Window::All`].
+fn family(spec: PredictorSpec) -> PredictorSpec {
+    match spec {
+        PredictorSpec::Mean(_) => PredictorSpec::Mean(Window::All),
+        PredictorSpec::Median(_) => PredictorSpec::Median(Window::All),
+        PredictorSpec::Ar(_) => PredictorSpec::Ar(Window::All),
+        PredictorSpec::Last => PredictorSpec::Last,
+        PredictorSpec::Regression(kind, _) => PredictorSpec::Regression(kind, Window::All),
+    }
+}
+
+/// The leaderboard order over candidates scored `mapes`:
+/// `(MAPE or +inf, name)` — see the module docs for the selection rule.
+fn rank(
+    candidates: &[NamedPredictor],
+    mapes: &[Option<f64>],
+    a: usize,
+    b: usize,
+) -> std::cmp::Ordering {
+    let score = |i: usize| mapes[i].unwrap_or(f64::INFINITY);
+    score(a)
+        .total_cmp(&score(b))
+        .then_with(|| candidates[a].name().cmp(candidates[b].name()))
 }
 
 /// An online tournament over a fixed candidate suite for one path.
@@ -286,6 +375,15 @@ pub struct Tournament {
     /// [`refresh_leaders`](Tournament::refresh_leaders)' two score
     /// columns, kept between observations.
     board_scratch: [Vec<Option<f64>>; 2],
+    /// Per candidate, the nearest earlier candidate of the same
+    /// [`family`] on the same stream (same spec up to the window, same
+    /// classification): the chain [`observe`](Tournament::observe)
+    /// walks to answer each (family, window start) once. Custom
+    /// candidates are in no chain.
+    same_family_prev: Vec<Option<usize>>,
+    /// [`observe`](Tournament::observe)'s scratch: each candidate's
+    /// `(window start, prediction)` for the target being scored.
+    answers: Vec<(usize, Option<f64>)>,
 }
 
 impl Tournament {
@@ -305,6 +403,13 @@ impl Tournament {
             )
         };
         let class_stream = stream_for(true);
+        let family_of = |i: usize| specs[i].map(|s| (family(s), candidates[i].is_classified()));
+        let same_family_prev = (0..n)
+            .map(|j| {
+                let key = family_of(j)?;
+                (0..j).rev().find(|&i| family_of(i) == Some(key))
+            })
+            .collect();
         Tournament {
             all: stream_for(false),
             by_class: std::array::from_fn(|_| class_stream.clone()),
@@ -319,6 +424,8 @@ impl Tournament {
             class_leaders: [seed; 4],
             switches: 0,
             board_scratch: Default::default(),
+            same_family_prev,
+            answers: Vec::with_capacity(n),
         }
     }
 
@@ -337,33 +444,68 @@ impl Tournament {
         let class = SizeClass::of_bytes(o.file_size).index();
         // tidy: allow(float-eq): exact zero-measurement sentinel, same convention as eval::abs_pct_error
         if !self.all.obs.is_empty() && o.bandwidth_kbs != 0.0 {
+            let mut answers = std::mem::take(&mut self.answers);
+            answers.clear();
             for i in 0..self.candidates.len() {
-                if let Some(pred) = self.candidate_predict(i, class, o.at_unix, o.file_size) {
+                let answer = self.answer(i, class, o.at_unix, o.file_size, &answers);
+                answers.push(answer);
+                if let (_, Some(pred)) = answer {
                     let err = (o.bandwidth_kbs - pred).abs() / o.bandwidth_kbs.abs() * 100.0;
                     self.scores[i].record(err);
                     self.class_scores[i][class].record(err);
                 }
             }
+            self.answers = answers;
         }
         self.all.push(o);
         self.by_class[class].push(o);
         self.refresh_leaders(class);
     }
 
-    /// Candidate `i`'s prediction for a target of size class `class`:
-    /// by spec against its stream's accumulators, or, for a custom
-    /// candidate, its own `predict_sized` over the stream's slice.
-    fn candidate_predict(&self, i: usize, class: usize, now: u64, target_size: u64) -> Option<f64> {
-        let candidate = &self.candidates[i];
-        let stream = if candidate.is_classified() {
+    /// The stream candidate `i` reads for a target of size class
+    /// `class`.
+    fn stream(&self, i: usize, class: usize) -> &Stream {
+        if self.candidates[i].is_classified() {
             &self.by_class[class]
         } else {
             &self.all
-        };
-        match self.specs[i] {
-            Some(spec) => stream.predict(spec, now, target_size),
-            None => candidate.predict_seen(&stream.obs, now, target_size),
         }
+    }
+
+    /// Candidate `i`'s prediction for a target of size class `class`.
+    fn candidate_predict(&self, i: usize, class: usize, now: u64, target_size: u64) -> Option<f64> {
+        self.answer(i, class, now, target_size, &[]).1
+    }
+
+    /// Candidate `i`'s prediction for a target of size class `class`,
+    /// with where its window starts: by spec against its stream's
+    /// accumulators, or, for a custom candidate, its own `predict_sized`
+    /// over the stream's slice (start `usize::MAX`, which nothing
+    /// reads). An earlier candidate of its family whose window starts at
+    /// the same place has already answered, if `answers` (candidates
+    /// `0..i`'s, in an `observe`) holds it.
+    fn answer(
+        &self,
+        i: usize,
+        class: usize,
+        now: u64,
+        target_size: u64,
+        answers: &[(usize, Option<f64>)],
+    ) -> (usize, Option<f64>) {
+        let stream = self.stream(i, class);
+        let Some(spec) = self.specs[i] else {
+            let pred = self.candidates[i].predict_seen(&stream.obs, now, target_size);
+            return (usize::MAX, pred);
+        };
+        let start = stream.start(spec, now);
+        let mut prev = self.same_family_prev[i];
+        while let Some(j) = prev {
+            if let Some(&answer) = answers.get(j).filter(|a| a.0 == start) {
+                return answer;
+            }
+            prev = self.same_family_prev[j];
+        }
+        (start, stream.predict(spec, start, now, target_size))
     }
 
     /// Rolling MAPE of a candidate by index, if it has scored in-window.
@@ -406,16 +548,6 @@ impl Tournament {
         self.all.obs.last().map(|o| o.at_unix)
     }
 
-    /// Total ranking order on the global leaderboard:
-    /// `(rolling MAPE or +inf, name)` — see the module docs for the
-    /// selection rule.
-    fn rank_cmp(&self, a: usize, b: usize) -> std::cmp::Ordering {
-        let ma = self.scores[a].mape().unwrap_or(f64::INFINITY);
-        let mb = self.scores[b].mape().unwrap_or(f64::INFINITY);
-        ma.total_cmp(&mb)
-            .then_with(|| self.candidates[a].name().cmp(self.candidates[b].name()))
-    }
-
     /// Refresh one leaderboard's leader slot from its per-candidate
     /// rolling MAPEs, counting the switch. The best candidate is
     /// `(MAPE or +inf, name)`-minimal; an unscored board crowns nobody.
@@ -426,12 +558,7 @@ impl Tournament {
         switches: &mut u64,
     ) {
         let best = (0..candidates.len())
-            .min_by(|&a, &b| {
-                let ma = mapes[a].unwrap_or(f64::INFINITY);
-                let mb = mapes[b].unwrap_or(f64::INFINITY);
-                ma.total_cmp(&mb)
-                    .then_with(|| candidates[a].name().cmp(candidates[b].name()))
-            })
+            .min_by(|&a, &b| rank(candidates, mapes, a, b))
             .expect("candidates is non-empty by construction");
         if mapes[best].is_none() {
             // Nobody has scored on this board yet; no leader to crown.
@@ -506,8 +633,9 @@ impl Tournament {
                 return Some((self.candidates[i].name(), pred));
             }
         }
+        let global: Vec<Option<f64>> = self.scores.iter().map(RollingMape::mape).collect();
         let mut order: Vec<usize> = (0..self.candidates.len()).collect();
-        order.sort_by(|&a, &b| self.rank_cmp(a, b));
+        order.sort_by(|&a, &b| rank(&self.candidates, &global, a, b));
         for i in order {
             if let Some(pred) = self.candidate_predict(i, class, now, target_size) {
                 return Some((self.candidates[i].name(), pred));
@@ -652,6 +780,7 @@ mod tests {
     use crate::mean::MeanPredictor;
     use crate::median::MedianPredictor;
     use crate::window::Window;
+    use proptest::prelude::*;
 
     fn obs(i: u64, bw: f64) -> Observation {
         Observation::new(1_000 + i * 60, bw, 100 * PAPER_MB)
@@ -684,6 +813,51 @@ mod tests {
         one.record(1.0);
         one.record(3.0);
         assert_eq!((one.count(), one.mape()), (1, Some(3.0)));
+    }
+
+    /// An error as the boards see them, and what they must drop: ±0,
+    /// repeats of a few small values, magnitudes far apart (so that
+    /// reassociating the sum would move its bits) and non-finite inputs.
+    fn arb_err() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            (0usize..3).prop_map(|i| [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][i]),
+            (0usize..3).prop_map(|i| [0.1, 1.0 / 3.0, 7.0][i]),
+            0.0f64..100.0,
+            1e15f64..1e17,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every `record`, `mape` is `Iterator::sum` over the last
+        /// `window` finite errors divided by their count, bit for bit —
+        /// while the running sum serves it and after the first eviction.
+        #[test]
+        fn rolling_mape_is_the_in_window_sum_after_every_record(
+            window in (0usize..4).prop_map(|i| [1, 2, 50, 400][i]),
+            errs in prop::collection::vec(arb_err(), 0..900),
+        ) {
+            let mut board = RollingMape::new(window);
+            let mut finite = Vec::new();
+            for (i, &err) in errs.iter().enumerate() {
+                board.record(err);
+                if err.is_finite() {
+                    finite.push(err);
+                }
+                let in_window = &finite[finite.len().saturating_sub(window)..];
+                let want = (!in_window.is_empty())
+                    .then(|| in_window.iter().sum::<f64>() / in_window.len() as f64);
+                prop_assert_eq!(board.count(), in_window.len());
+                prop_assert_eq!(
+                    board.mape().map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "window {} after record {} ({})", window, i, err
+                );
+            }
+        }
     }
 
     #[test]

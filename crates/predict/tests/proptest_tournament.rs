@@ -20,7 +20,11 @@
 //! (empty hour windows, AR windows under `MIN_POINTS`), dead (0 and
 //! -0 KB/s) and repeated bandwidths, and campaigns with a single file size,
 //! stream count and buffer (every regression degenerate → mean
-//! fallback).
+//! fallback). Two [`Shape`]s aim at what the tournament shares between
+//! candidates: day windows that cover the whole stream for a stretch
+//! and then slide (one `observe` answers `AR`, `AR5d` and `AR10d` once
+//! while their windows start at the same place), and count windows
+//! whose sorted medians insert and evict runs of `0`, `-0` and repeats.
 
 use proptest::prelude::*;
 use wanpred_predict::prelude::*;
@@ -34,12 +38,42 @@ fn pool() -> Vec<NamedPredictor> {
     suite
 }
 
-/// An arrival-ordered transfer series of `len` observations. `pinned`
-/// campaigns use one size, stream count and buffer throughout;
+/// What a generated series stresses besides arrival order, duplicate
+/// timestamps and degenerate covariates, which every shape has.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// Quiet gaps past 25 h and 10 d, dead and repeated bandwidths.
+    Mixed,
+    /// No quiet gaps, ≈ 1.9 h between arrivals: the day windows cover
+    /// the whole stream for the first ≈ 60 (5 d) and ≈ 125 (10 d)
+    /// arrivals, then slide — so `AR`, `AR5d` and `AR10d` answer alike
+    /// for a stretch and then apart.
+    DayWindowsSlide,
+    /// Two thirds of the bandwidths `0` or `-0`, one twelfth a repeated
+    /// `3`: count-window medians that land on, insert and evict ±0 and
+    /// duplicates.
+    ZeroMedians,
+}
+
+/// An arrival-ordered transfer series of `len` observations, of any
+/// [`Shape`].
+fn arb_series(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Observation>> {
+    prop_oneof![
+        arb_shaped_series(Shape::Mixed, len.clone()),
+        arb_shaped_series(Shape::DayWindowsSlide, len.clone()),
+        arb_shaped_series(Shape::ZeroMedians, len),
+    ]
+}
+
+/// An arrival-ordered transfer series of `len` observations of `shape`.
+/// `pinned` campaigns use one size, stream count and buffer throughout;
 /// otherwise eight sizes over all four classes, thirteen sixteenths of
 /// them in the 100 MB class so that its board rolls over within a long
 /// run.
-fn arb_series(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Observation>> {
+fn arb_shaped_series(
+    shape: Shape,
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<Observation>> {
     (
         prop::collection::vec(
             (
@@ -55,15 +89,18 @@ fn arb_series(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Observat
         ),
         any::<bool>(),
     )
-        .prop_map(|(raw, pinned)| {
+        .prop_map(move |(raw, pinned)| {
             let sizes_mb = [
                 100u64, 2, 100, 25, 100, 150, 100, 400, 100, 1000, 100, 100, 100, 75, 100, 200,
             ];
             let buffers = [0u64, 64 * 1024, 1_000_000, 16_000_000];
             let mut clock = 1_000_000_000u64;
             let mut last_bw = 750.0;
+            let slide = shape == Shape::DayWindowsSlide;
             raw.into_iter()
                 .map(|(step, gap, bw_kind, bw, size_idx, streams, buf_idx)| {
+                    // Sliding day windows want no quiet gaps.
+                    let step = if slide && step >= 3 { 5 } else { step };
                     let at_unix = match step {
                         // Same second as the previous arrival.
                         0 => clock,
@@ -80,11 +117,15 @@ fn arb_series(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Observat
                             clock
                         }
                         _ => {
-                            clock += gap;
+                            clock += gap + if slide { 5_400 } else { 0 };
                             clock
                         }
                     };
+                    let zeros = shape == Shape::ZeroMedians;
                     last_bw = match bw_kind {
+                        0..=3 if zeros => 0.0,
+                        4..=7 if zeros => -0.0,
+                        8 if zeros => 3.0,
                         0 => 0.0,
                         // `-0` is a legal ULM decimal; it is also the one
                         // input that tells `Iterator::sum`'s identity
@@ -209,7 +250,9 @@ proptest! {
     /// Long runs: the 50-slot global board rolls over many times and so
     /// does the 400-slot board of the 100 MB class.
     #[test]
-    fn long_runs_stay_bit_identical_past_board_rollover(series in arb_series(700..800)) {
+    fn long_runs_stay_bit_identical_past_board_rollover(
+        series in arb_shaped_series(Shape::Mixed, 700..800)
+    ) {
         let scored = scored_per_class(&series);
         prop_assert!(scored.iter().sum::<usize>() > 50 * 10, "{:?}", scored);
         prop_assert!(scored[SizeClass::C100MB.index()] > 400, "{:?}", scored);

@@ -230,6 +230,60 @@ fn campaign_bytes_are_pinned() {
     assert_eq!(got, PINNED, "now [{}]", hex.join(", "));
 }
 
+/// FNV-1a of a default-suite tournament replay over `series` in arrival
+/// order: every served prediction's bits, the declined count, the
+/// switch count and the final winner's name.
+fn tournament_fingerprint(series: &[Observation]) -> u64 {
+    let t = Tournament::with_default_suite(TournamentOptions::default());
+    let r = replay_tournament(series, t, &ObsSink::disabled());
+    let mut bytes = Vec::new();
+    for o in &r.report.outcomes {
+        bytes.extend(o.predicted.to_bits().to_le_bytes());
+    }
+    bytes.extend((r.report.declined as u64).to_le_bytes());
+    bytes.extend(r.switches.to_le_bytes());
+    bytes.extend(r.final_winner.unwrap_or_default().as_bytes());
+    fnv1a(&bytes)
+}
+
+#[test]
+fn tournament_replays_are_pinned() {
+    // The spec-hidden oracle of `proptest_tournament.rs` runs the same
+    // leaderboards as the tournament it checks, so a change to how the
+    // boards score, rank or evict shows up only against fixed bits.
+    // Columns: the clean August campaign's LBL and ISI logs at seeds 42
+    // and 17, then one client's history at each of two synthetic
+    // serving sites (≈ 1 300 records each, so the 400-slot class
+    // boards roll over).
+    const PINNED: [u64; 6] = [
+        0x8ae2286bf7e8b6cb,
+        0x2a024466360fe1ab,
+        0x3fbd0a51a50ea4f8,
+        0x70b719f5e7cdf753,
+        0xaa614f05ce5ab1fa,
+        0x6f433c6da48c7645,
+    ];
+    let mut series: Vec<Vec<Observation>> = Vec::new();
+    for seed in [42, 17] {
+        let result = run_campaign(&CampaignConfig::august(seed));
+        for pair in [Pair::LblAnl, Pair::IsiAnl] {
+            series.push(observations_from_log(result.log(pair)));
+        }
+    }
+    for (site, client) in wanpred_testbed::serving_sites(2, 4_000, 7)
+        .iter()
+        .zip(wanpred_testbed::SERVING_CLIENTS)
+    {
+        let records = site.log.records().iter();
+        let pair = records.filter(|r| r.source == client);
+        series.push(pair.map(Observation::from_record).collect());
+    }
+    assert!(series.iter().all(|s| s.len() > 400), "too few records");
+    let got: Vec<u64> = series.iter().map(|s| tournament_fingerprint(s)).collect();
+    let hex: Vec<String> = got.iter().map(|h| format!("{h:#018x}")).collect();
+    assert_eq!(got, PINNED, "now [{}]", hex.join(", "));
+}
+
 #[test]
 fn different_seeds_different_histories() {
     let a = run(1, 2);
